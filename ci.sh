@@ -37,6 +37,11 @@ fi
 run cargo test --workspace -q
 # The [[bench]] target is excluded from `cargo test`; make sure it still builds.
 run cargo test --workspace -q --benches --no-run
+# perfbench/ is a cargo package of its own that builds against the
+# workspace crates' public API; build it so an API change that breaks the
+# end-to-end benchmark fails here.
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
 
 # Clippy is optional tooling: warn-only if the component is missing.
 if cargo clippy --version >/dev/null 2>&1; then

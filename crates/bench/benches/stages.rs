@@ -131,18 +131,6 @@ fn bench_synthesis(stats: &mut Vec<Stats>) {
     let mut rng = StdRng::seed_from_u64(5);
     let random2q = random_unitary(4, &mut rng);
     stats.push(stage("synthesis/qsearch_random_2q").run(|| synthesize(&random2q, &SynthConfig::default())));
-    // The parallel frontier at 4 workers: byte-identical results to the
-    // single-worker run by construction, so this measures pure dispatch
-    // overhead/benefit of the worker crew.
-    stats.push(stage("synthesis/qsearch_random_2q_4w").run(|| {
-        synthesize(
-            &random2q,
-            &SynthConfig {
-                workers: 4,
-                ..SynthConfig::default()
-            },
-        )
-    }));
 }
 
 fn bench_grape(stats: &mut Vec<Stats>) {
@@ -158,21 +146,6 @@ fn bench_grape(stats: &mut Vec<Stats>) {
             128,
             &GrapeConfig {
                 max_iters: 100,
-                ..Default::default()
-            },
-        )
-    }));
-    // Same optimization with the iteration-level eigensystem cache pinned
-    // on explicitly, so the cached path stays measured even if the
-    // `GrapeConfig` default ever changes.
-    stats.push(stage("grape/grape_cz_128slots_cached_eig").run(|| {
-        grape(
-            &d2,
-            &cz,
-            128,
-            &GrapeConfig {
-                max_iters: 100,
-                eig_cache: true,
                 ..Default::default()
             },
         )

@@ -295,7 +295,9 @@ fn main() -> ExitCode {
             let mut config = EpocConfig { zx: args.zx, ..base };
             config.recovery.strict = args.strict;
             if let Some(budget) = args.library_budget {
-                config.store = epoc::StoreConfig { shards: 1, budget_bytes: Some(budget) };
+                config.store = epoc::StoreConfig {
+                    budget_bytes: Some(budget),
+                };
             }
             if !args.regroup {
                 config = config.without_regrouping();

@@ -99,9 +99,6 @@ use std::sync::{mpsc, Arc};
 
 /// Default GRAPE width cap (same as `epocc`).
 const DEFAULT_GRAPE_LIMIT: usize = 2;
-/// Default shard count for the service's pulse library: enough to keep
-/// callers off one lock without fragmenting a byte budget.
-const DEFAULT_SHARDS: usize = 8;
 /// Default request-line bound: far above any realistic QASM job, far
 /// below what could wedge the reader's memory.
 const DEFAULT_LINE_LIMIT: usize = 1 << 20;
@@ -109,7 +106,6 @@ const DEFAULT_LINE_LIMIT: usize = 1 << 20;
 struct Args {
     library: Option<PathBuf>,
     library_budget: Option<u64>,
-    shards: usize,
     grape_limit: usize,
     workers: Option<usize>,
     regroup: bool,
@@ -126,13 +122,12 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: epocd [--library FILE] [--library-budget BYTES] [--shards N] \
+        "usage: epocd [--library FILE] [--library-budget BYTES] \
          [--grape N] [--workers N] [--no-regroup] [--checkpoint-every N] \
          [--queue-limit N] [--line-limit BYTES] [--journal FILE] \
          [--socket PATH] [--log FILE] [--faults SPEC] [--fault-seed N] [--hw PROFILE]\n\
          --library FILE     load the pulse library from FILE on start, save on checkpoint/shutdown\n\
          --library-budget BYTES cap the in-memory library (LRU eviction)\n\
-         --shards N         library shard count (default {DEFAULT_SHARDS})\n\
          --grape N          GRAPE width cap (default {DEFAULT_GRAPE_LIMIT}; 0 = modeled backend)\n\
          --workers N        worker-pool size for each compile\n\
          --no-regroup       disable regrouping (per-gate pulses)\n\
@@ -173,7 +168,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         library: None,
         library_budget: None,
-        shards: DEFAULT_SHARDS,
         grape_limit: DEFAULT_GRAPE_LIMIT,
         workers: None,
         regroup: true,
@@ -196,10 +190,6 @@ fn parse_args() -> Args {
             "--library-budget" => {
                 let v = flag_value(&mut iter, "--library-budget", "a byte count");
                 args.library_budget = Some(parse_num("--library-budget", &v));
-            }
-            "--shards" => {
-                let v = flag_value(&mut iter, "--shards", "a shard count");
-                args.shards = parse_num("--shards", &v);
             }
             "--grape" => {
                 let v = flag_value(&mut iter, "--grape", "a qubit count");
@@ -340,7 +330,6 @@ impl Service {
             EpocConfig::with_grape(args.grape_limit)
         };
         let mut config = base.with_store(StoreConfig {
-            shards: args.shards,
             budget_bytes: args.library_budget,
         });
         if let Some(w) = args.workers {

@@ -88,10 +88,9 @@ pub struct EpocConfig {
     pub workers: Option<usize>,
     /// Per-block recovery ladder for soft stage failures.
     pub recovery: RecoveryPolicy,
-    /// Pulse-library storage tier (shard count and optional byte budget).
-    /// The default single-lock unbounded map suits one-shot `epocc` runs;
-    /// `epocd` shards and budgets the library for long-running service
-    /// use.
+    /// Pulse-library store configuration (an optional byte budget). The
+    /// default unbounded map suits one-shot `epocc` runs; a long-running
+    /// `epocd` caps it with `--library-budget`.
     pub store: StoreConfig,
     /// Control-electronics model (`None` = ideal electronics). When set,
     /// GRAPE optimizes *under* the profile's constraints, emitted
@@ -175,7 +174,7 @@ impl EpocConfig {
         self
     }
 
-    /// Selects the pulse-library storage tier (see [`StoreConfig`]).
+    /// Configures the pulse-library store (see [`StoreConfig`]).
     pub fn with_store(mut self, store: StoreConfig) -> Self {
         self.store = store;
         self

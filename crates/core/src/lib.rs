@@ -41,8 +41,8 @@ pub use report::{
 pub use simulate::{simulate_schedule, SimulationStats};
 
 // Pulse-library storage/persistence types, re-exported so service code
-// can configure the tiers without importing `epoc_qoc` directly.
-pub use epoc_qoc::{LibraryError, StoreConfig, StoreTier};
+// can configure the store without importing `epoc_qoc` directly.
+pub use epoc_qoc::{LibraryError, StoreConfig};
 
 pub use epoc_circuit as circuit;
 pub use epoc_hw as hw;

@@ -653,8 +653,8 @@ impl EpocCompiler {
             .sum()
     }
 
-    /// Entries evicted by the pulse libraries' storage tier so far (0
-    /// unless a byte budget is configured).
+    /// Entries evicted by the pulse libraries' stores so far (0 unless
+    /// a byte budget is configured).
     pub fn library_evictions(&self) -> u64 {
         self.backend
             .library_sections()
@@ -664,13 +664,13 @@ impl EpocCompiler {
     }
 
     /// Estimated resident bytes across the backend's pulse libraries —
-    /// the same estimate the budgeted tier evicts against, exposed so
+    /// the same estimate a byte budget evicts against, exposed so
     /// services can report live memory pressure.
     pub fn library_bytes(&self) -> u64 {
         self.backend
             .library_sections()
             .iter()
-            .map(|(_, lib)| lib.store().approx_bytes())
+            .map(|(_, lib)| lib.approx_bytes())
             .sum()
     }
 

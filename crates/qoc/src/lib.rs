@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-mod crab;
 mod device;
 mod duration;
 mod grape;
@@ -39,7 +38,6 @@ mod store;
 mod synthesizer;
 mod waveform;
 
-pub use crab::{crab, CrabConfig, CrabResult};
 pub use device::{ControlChannel, DeviceError, DeviceModel, MAX_MODEL_QUBITS};
 pub use duration::{
     minimize_duration, minimize_duration_with_cancel, DurationError, DurationSearchConfig,
@@ -56,10 +54,7 @@ pub use library::{
     PulseLibrary,
 };
 pub use model::{DurationModel, GateDurationTable};
-pub use store::{
-    entry_bytes, BudgetedStore, LibraryError, MemoryStore, PulseStore, ShardedStore, StoreConfig,
-    StoreTier,
-};
+pub use store::{entry_bytes, LibraryError, StoreConfig};
 pub use synthesizer::{
     GrapeSynthesizer, HybridSynthesizer, ModeledSynthesizer, PulseError, PulseRequest,
     PulseSynthesizer, RecoveredPulse, RUNG_GRAPE_DIGITAL, RUNG_GRAPE_RESTARTS, RUNG_GRAPE_SLOTS,

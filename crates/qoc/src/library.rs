@@ -1,4 +1,4 @@
-//! The pulse library: a concurrent unitary → pulse cache.
+//! The pulse library: a thread-safe unitary → pulse cache.
 //!
 //! AccQOC/PAQOC key their lookup tables on the raw unitary; EPOC's
 //! improvement (§3.4) is **global-phase-aware** matching — `U` and
@@ -6,15 +6,15 @@
 //! hit rate "similar to having a higher cache hit rate". Both policies are
 //! implemented so the ablation bench can compare them.
 //!
-//! Storage is pluggable (see [`crate::store`]): the library resolves a
-//! unitary to a [`CacheKey`] under its policy and delegates to a
-//! [`PulseStore`] tier — in-memory, sharded, or budgeted-with-eviction.
-//! The library (any tier) can also be **persisted**: entries serialize to
-//! JSON via `epoc_rt::json` in sorted-key order, wrapped in a versioned,
-//! checksummed file so torn or truncated writes are detected on load and
-//! degrade to a cold cache instead of corrupting a compile.
+//! The library resolves a unitary to a [`CacheKey`] under its policy and
+//! delegates to its store (see [`crate::store`]): one locked map with an
+//! optional LRU byte budget. The library can also be
+//! **persisted**: entries serialize to JSON via `epoc_rt::json` in
+//! sorted-key order, wrapped in a versioned, checksummed file so torn or
+//! truncated writes are detected on load and degrade to a cold cache
+//! instead of corrupting a compile.
 
-use crate::store::{LibraryError, MemoryStore, PulseStore, StoreConfig, StoreTier};
+use crate::store::{LibraryError, PulseStore, StoreConfig};
 use crate::waveform::PulseWaveform;
 use epoc_linalg::{Matrix, PhaseSensitiveKey, UnitaryKey};
 use epoc_rt::json::Json;
@@ -202,9 +202,9 @@ impl CacheKey {
         }
     }
 
-    /// A stable (cross-run, cross-platform) FNV-1a hash of the key, used
-    /// to pick storage shards. `std`'s hasher is seeded per process, so it
-    /// cannot be used anywhere determinism across runs matters.
+    /// A stable (cross-run, cross-platform) FNV-1a hash of the key.
+    /// `std`'s hasher is seeded per process, so it cannot be used
+    /// anywhere determinism across runs matters.
     pub fn stable_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -326,7 +326,7 @@ pub struct PulseLibrary {
     /// and the persisted section header, so a library built for one
     /// control stack can never silently serve another.
     profile_hash: u64,
-    store: Box<dyn PulseStore>,
+    store: PulseStore,
     hits: AtomicUsize,
     misses: AtomicUsize,
     observer: ObserverCell,
@@ -354,27 +354,21 @@ impl std::fmt::Debug for ObserverCell {
 }
 
 impl PulseLibrary {
-    /// Creates an empty library with the given key policy on the
-    /// single-lock in-memory tier.
+    /// Creates an empty, unbounded library with the given key policy.
     pub fn new(policy: KeyPolicy) -> Self {
-        Self::with_store(policy, Box::new(MemoryStore::new()))
+        Self::from_config(policy, &StoreConfig::default())
     }
 
-    /// Creates an empty library on an explicit storage tier.
-    pub fn with_store(policy: KeyPolicy, store: Box<dyn PulseStore>) -> Self {
+    /// Creates an empty library whose store a [`StoreConfig`] describes.
+    pub fn from_config(policy: KeyPolicy, config: &StoreConfig) -> Self {
         Self {
             policy,
             profile_hash: 0,
-            store,
+            store: PulseStore::new(config.budget_bytes),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             observer: ObserverCell::default(),
         }
-    }
-
-    /// Creates an empty library on the tier a [`StoreConfig`] describes.
-    pub fn from_config(policy: KeyPolicy, config: &StoreConfig) -> Self {
-        Self::with_store(policy, config.build())
     }
 
     /// Scopes the library to a hardware-profile hash (see
@@ -394,15 +388,10 @@ impl PulseLibrary {
         self.profile_hash
     }
 
-    /// The storage tier backing this library.
-    pub fn tier(&self) -> StoreTier {
-        self.store.tier()
-    }
-
-    /// The store itself (hit/miss counters live on the library, byte and
-    /// eviction accounting on the store).
-    pub fn store(&self) -> &dyn PulseStore {
-        self.store.as_ref()
+    /// The store itself, for bulk restores that must bypass the insert
+    /// observer (journal replay).
+    pub(crate) fn store(&self) -> &PulseStore {
+        &self.store
     }
 
     /// The key `unitary` resolves to under this library's policy.
@@ -429,13 +418,13 @@ impl PulseLibrary {
             return None;
         }
         let key = self.cache_key(unitary);
-        // Per-tier lookup latency histogram; the clock only runs when
-        // telemetry is recording, so the disabled path stays one load.
+        // Lookup latency histogram; the clock only runs when telemetry
+        // is recording, so the disabled path stays one load.
         let t0 = epoc_rt::telemetry::is_enabled().then(Instant::now);
         let found = self.store.get(&key);
         if let Some(t0) = t0 {
             epoc_rt::telemetry::histogram_record(
-                self.store.tier().lookup_histogram(),
+                "pulse_lib.lookup_ns",
                 t0.elapsed().as_nanos() as u64,
             );
         }
@@ -512,7 +501,7 @@ impl PulseLibrary {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by the storage tier so far (0 for unbounded tiers).
+    /// Entries evicted by the store so far (0 without a byte budget).
     pub fn evictions(&self) -> u64 {
         self.store.evictions()
     }
@@ -534,8 +523,8 @@ impl PulseLibrary {
     }
 
     /// Serializes the library's entries in sorted-key order (so the same
-    /// contents always produce the same bytes, whatever the storage tier
-    /// or insertion history).
+    /// contents always produce the same bytes, whatever the insertion
+    /// history).
     pub fn to_json_value(&self) -> Json {
         let entries = self
             .store
@@ -830,10 +819,7 @@ mod tests {
     #[test]
     fn concurrent_access() {
         use std::sync::Arc;
-        let lib = Arc::new(PulseLibrary::from_config(
-            KeyPolicy::PhaseAware,
-            &StoreConfig { shards: 4, budget_bytes: None },
-        ));
+        let lib = Arc::new(PulseLibrary::new(KeyPolicy::PhaseAware));
         let mut handles = Vec::new();
         for t in 0..4u64 {
             let lib = Arc::clone(&lib);
@@ -848,7 +834,7 @@ mod tests {
         }
         assert_eq!(lib.len(), 4);
         assert_eq!(lib.hits(), 4);
-        assert_eq!(lib.tier(), StoreTier::Sharded);
+        assert_eq!(lib.misses(), 0);
     }
 
     #[test]

@@ -1,108 +1,26 @@
-//! Pulse-library storage tiers.
-//!
-//! [`PulseLibrary`](crate::PulseLibrary) used to be a pair of hard-coded
-//! `RwLock<HashMap>`s; a long-running compilation service needs the
-//! storage swappable, so it now sits behind the [`PulseStore`] trait with
-//! three tiers:
-//!
-//! * [`MemoryStore`] — the original single-lock map, right for one-shot
-//!   `epocc` runs and tests;
-//! * [`ShardedStore`] — N shards keyed by a stable hash of the
-//!   [`CacheKey`], each behind its own `RwLock`, so concurrent compile
-//!   jobs in `epocd` don't serialize on one lock;
-//! * [`BudgetedStore`] — the disk-backed tier's in-memory core: sharded
-//!   *plus* an LRU-ish eviction policy under a configurable byte budget,
-//!   so a service that compiles millions of circuits doesn't grow its
-//!   library without bound.
+//! Pulse-library storage: one locked map with a logical LRU clock and an
+//! optional byte budget.
 //!
 //! Persistence (load-on-start / save-on-checkpoint) is layered on top in
-//! [`crate::library`]: any store can snapshot its entries in a
-//! deterministic order, so any store can be persisted and restored.
+//! [`crate::library`]: the store snapshots its entries in sorted-key
+//! order, so persisted files are byte-deterministic whatever the
+//! insertion history.
 //!
 //! # Determinism
 //!
 //! The pipeline only touches the library from its *serial* phases
 //! (classification and replay — see the 4-stage scheme in
-//! `epoc::pipeline`), so the LRU clock advances in a deterministic order
-//! and eviction decisions are byte-identical at any worker count.
-//! [`PulseStore::snapshot`] sorts by key, so persisted files are
-//! byte-deterministic too.
+//! `epoc::pipeline`), and `epocd` compiles one job at a time, so the LRU
+//! clock advances in a deterministic order and eviction decisions are
+//! byte-identical at any worker count. With no concurrent caller, one
+//! lock is all the store needs.
 
 use crate::library::{CacheKey, KeyPolicy, PulseEntry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
-
-/// Which storage tier a store implements, used to label per-tier
-/// telemetry (lookup-latency histograms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreTier {
-    /// Single-lock in-memory map.
-    Memory,
-    /// Sharded concurrent map.
-    Sharded,
-    /// Sharded map with a byte budget and LRU-ish eviction (the
-    /// persistable service tier).
-    Budgeted,
-}
-
-impl StoreTier {
-    /// The telemetry histogram lookup latencies of this tier land in.
-    pub fn lookup_histogram(self) -> &'static str {
-        match self {
-            StoreTier::Memory => "pulse_lib.lookup_ns.memory",
-            StoreTier::Sharded => "pulse_lib.lookup_ns.sharded",
-            StoreTier::Budgeted => "pulse_lib.lookup_ns.budgeted",
-        }
-    }
-}
-
-/// How a [`crate::PulseLibrary`] stores its entries.
-///
-/// Implementations must be thread-safe; `get`/`put` are called
-/// concurrently by callers outside the pipeline (the pipeline itself
-/// only touches the library serially, which is what makes eviction
-/// deterministic — see the module docs).
-pub trait PulseStore: Send + Sync + std::fmt::Debug {
-    /// Retrieves the entry for `key`, updating recency metadata where the
-    /// tier tracks it.
-    fn get(&self, key: &CacheKey) -> Option<PulseEntry>;
-
-    /// Inserts (or replaces) the entry for `key`, evicting as the tier's
-    /// policy demands.
-    fn put(&self, key: CacheKey, entry: PulseEntry);
-
-    /// Number of stored entries.
-    fn len(&self) -> usize;
-
-    /// `true` when no entries are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Estimated resident bytes of all stored entries (waveforms
-    /// dominate; see [`entry_bytes`]).
-    fn approx_bytes(&self) -> u64;
-
-    /// Entries evicted since construction (0 for unbounded tiers).
-    fn evictions(&self) -> u64 {
-        0
-    }
-
-    /// All entries, sorted by key — a deterministic order regardless of
-    /// insertion history, hash layout, or recency stamps. The persistence
-    /// layer serializes this, so library files are byte-reproducible.
-    fn snapshot(&self) -> Vec<(CacheKey, PulseEntry)>;
-
-    /// Removes every entry.
-    fn clear(&self);
-
-    /// The tier this store implements.
-    fn tier(&self) -> StoreTier;
-}
+use std::sync::{Mutex, MutexGuard};
 
 /// Applies resident-size deltas to the process-global library gauges.
-/// Every tier funnels its put/evict/clear accounting through here, so
+/// Every put and eviction funnels its accounting through here, so
 /// `pulse_lib.resident_bytes` / `pulse_lib.entries` stay correct even
 /// when several libraries (the GRAPE and model sections of one compiler,
 /// or several compilers) share the one telemetry registry — deltas are
@@ -124,33 +42,12 @@ pub fn entry_bytes(key: &CacheKey, entry: &PulseEntry) -> u64 {
     waveform + (key.cell_count() * 8) as u64 + 96
 }
 
-/// Configuration of the library's storage tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration of the library's store.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Shard count. `1` selects the single-lock [`MemoryStore`]; larger
-    /// values select the [`ShardedStore`] (or shard the budgeted tier).
-    pub shards: usize,
-    /// Byte budget. `Some` selects the [`BudgetedStore`] with LRU-ish
-    /// eviction at this resident-size cap; `None` stores grow unbounded.
+    /// Byte budget. `Some` caps the resident size with strict LRU
+    /// eviction over the whole library; `None` grows unbounded.
     pub budget_bytes: Option<u64>,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        Self { shards: 1, budget_bytes: None }
-    }
-}
-
-impl StoreConfig {
-    /// Builds the store this configuration describes.
-    pub fn build(&self) -> Box<dyn PulseStore> {
-        let shards = self.shards.max(1);
-        match self.budget_bytes {
-            Some(budget) => Box::new(BudgetedStore::new(shards, budget)),
-            None if shards > 1 => Box::new(ShardedStore::new(shards)),
-            None => Box::new(MemoryStore::new()),
-        }
-    }
 }
 
 /// A pulse-library persistence failure. Torn, truncated, or otherwise
@@ -216,322 +113,125 @@ impl std::fmt::Display for LibraryError {
 
 impl std::error::Error for LibraryError {}
 
-/// The original single-lock in-memory store.
-#[derive(Debug, Default)]
-pub struct MemoryStore {
-    map: RwLock<HashMap<CacheKey, PulseEntry>>,
-    bytes: AtomicU64,
-}
-
-impl MemoryStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl PulseStore for MemoryStore {
-    fn get(&self, key: &CacheKey) -> Option<PulseEntry> {
-        self.map
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned()
-    }
-
-    fn put(&self, key: CacheKey, entry: PulseEntry) {
-        let added = entry_bytes(&key, &entry);
-        let mut delta = added as i64;
-        let mut new_entries = 1i64;
-        let mut map = self.map.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(old) = map.insert(key.clone(), entry) {
-            let removed = entry_bytes(&key, &old);
-            self.bytes.fetch_sub(removed, Ordering::Relaxed);
-            delta -= removed as i64;
-            new_entries = 0;
-        }
-        self.bytes.fetch_add(added, Ordering::Relaxed);
-        gauge_resident(delta, new_entries);
-    }
-
-    fn len(&self) -> usize {
-        self.map.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> Vec<(CacheKey, PulseEntry)> {
-        let map = self.map.read().unwrap_or_else(|e| e.into_inner());
-        let mut all: Vec<_> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-
-    fn clear(&self) {
-        let mut map = self.map.write().unwrap_or_else(|e| e.into_inner());
-        let dropped = map.len() as i64;
-        map.clear();
-        let bytes = self.bytes.swap(0, Ordering::Relaxed);
-        gauge_resident(-(bytes as i64), -dropped);
-    }
-
-    fn tier(&self) -> StoreTier {
-        StoreTier::Memory
-    }
-}
-
-/// N independent shards, each behind its own lock: concurrent lookups of
-/// different blocks proceed without contention. Shard choice hashes the
-/// key with a stable (cross-run) FNV, so the same key always lands in the
-/// same shard — a prerequisite for deterministic eviction in the budgeted
-/// tier built on the same layout.
-#[derive(Debug)]
-pub struct ShardedStore {
-    shards: Vec<RwLock<HashMap<CacheKey, PulseEntry>>>,
-    bytes: AtomicU64,
-}
-
-impl ShardedStore {
-    /// Creates an empty store with `shards` shards (at least 1).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1);
-        Self {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// The shard count.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, key: &CacheKey) -> &RwLock<HashMap<CacheKey, PulseEntry>> {
-        let idx = (key.stable_hash() % self.shards.len() as u64) as usize;
-        &self.shards[idx]
-    }
-}
-
-impl PulseStore for ShardedStore {
-    fn get(&self, key: &CacheKey) -> Option<PulseEntry> {
-        self.shard(key)
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(key)
-            .cloned()
-    }
-
-    fn put(&self, key: CacheKey, entry: PulseEntry) {
-        let added = entry_bytes(&key, &entry);
-        let mut delta = added as i64;
-        let mut new_entries = 1i64;
-        let shard = self.shard(&key);
-        let mut map = shard.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(old) = map.insert(key.clone(), entry) {
-            let removed = entry_bytes(&key, &old);
-            self.bytes.fetch_sub(removed, Ordering::Relaxed);
-            delta -= removed as i64;
-            new_entries = 0;
-        }
-        self.bytes.fetch_add(added, Ordering::Relaxed);
-        gauge_resident(delta, new_entries);
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> Vec<(CacheKey, PulseEntry)> {
-        let mut all = Vec::new();
-        for s in &self.shards {
-            let map = s.read().unwrap_or_else(|e| e.into_inner());
-            all.extend(map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-
-    fn clear(&self) {
-        let mut dropped = 0i64;
-        for s in &self.shards {
-            let mut map = s.write().unwrap_or_else(|e| e.into_inner());
-            dropped += map.len() as i64;
-            map.clear();
-        }
-        let bytes = self.bytes.swap(0, Ordering::Relaxed);
-        gauge_resident(-(bytes as i64), -dropped);
-    }
-
-    fn tier(&self) -> StoreTier {
-        StoreTier::Sharded
-    }
-}
-
-/// One entry plus its last-touch stamp on the shard's logical clock.
+/// One entry plus its last-touch stamp on the store's logical clock.
 #[derive(Debug)]
 struct Slot {
     entry: PulseEntry,
     stamp: u64,
 }
 
-/// A budgeted shard: its map, a logical clock (bumped on every get/put,
-/// so stamps are unique and eviction order has no ties), and a running
-/// byte total.
+/// The map, a logical clock (bumped on every get/put, so stamps are
+/// unique and eviction order has no ties), and running totals.
 #[derive(Debug, Default)]
-struct BudgetedShard {
+struct Inner {
     map: HashMap<CacheKey, Slot>,
     clock: u64,
     bytes: u64,
+    evictions: u64,
 }
 
-/// The service tier: sharded storage with an LRU-ish eviction policy
-/// under a byte budget. The budget is split evenly across shards (each
-/// shard evicts independently, so no cross-shard lock is ever held), and
-/// is *strict*: inserting an entry evicts least-recently-used entries
-/// until the shard fits, and an entry that alone exceeds the shard budget
-/// is not stored at all — the caller already holds the computed value,
-/// and a later lookup simply recomputes (the schedule stage's recompute
-/// rung absorbs exactly this case).
+/// The pulse library's store. Under a byte budget, eviction is a
+/// *strict* LRU over the whole library: inserting an entry evicts
+/// least-recently-used entries until the store fits, and an entry that
+/// alone exceeds the budget is not stored at all — the caller already
+/// holds the computed value, and a later lookup simply recomputes (the
+/// schedule stage's recompute rung absorbs exactly this case).
 #[derive(Debug)]
-pub struct BudgetedStore {
-    shards: Vec<RwLock<BudgetedShard>>,
-    shard_budget: u64,
-    evictions: AtomicU64,
+pub struct PulseStore {
+    inner: Mutex<Inner>,
+    budget_bytes: Option<u64>,
 }
 
-impl BudgetedStore {
-    /// Creates an empty store with `shards` shards (at least 1) sharing
-    /// `budget_bytes` of resident-size budget.
-    pub fn new(shards: usize, budget_bytes: u64) -> Self {
-        let n = shards.max(1);
+impl PulseStore {
+    /// Creates an empty store, unbounded when `budget_bytes` is `None`.
+    pub fn new(budget_bytes: Option<u64>) -> Self {
         Self {
-            shards: (0..n).map(|_| RwLock::new(BudgetedShard::default())).collect(),
-            shard_budget: (budget_bytes / n as u64).max(1),
-            evictions: AtomicU64::new(0),
+            inner: Mutex::default(),
+            budget_bytes,
         }
     }
 
-    /// The per-shard slice of the byte budget.
-    pub fn shard_budget(&self) -> u64 {
-        self.shard_budget
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The shard count.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, key: &CacheKey) -> &RwLock<BudgetedShard> {
-        let idx = (key.stable_hash() % self.shards.len() as u64) as usize;
-        &self.shards[idx]
-    }
-
-    /// Evicts least-recently-used entries until `shard` fits its budget.
-    fn enforce_budget(&self, shard: &mut BudgetedShard) {
-        while shard.bytes > self.shard_budget && !shard.map.is_empty() {
-            // Unique stamps mean a unique minimum: eviction order is a
-            // pure function of the access history.
-            let victim = shard
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty shard has a minimum");
-            if let Some(slot) = shard.map.remove(&victim) {
-                let removed = entry_bytes(&victim, &slot.entry);
-                shard.bytes -= removed;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                epoc_rt::telemetry::counter_add("pulse_lib.evictions", 1);
-                gauge_resident(-(removed as i64), -1);
-            }
-        }
-    }
-}
-
-impl PulseStore for BudgetedStore {
-    fn get(&self, key: &CacheKey) -> Option<PulseEntry> {
-        // Write lock even on the read path: a hit refreshes the entry's
-        // recency stamp.
-        let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        let clock = shard.clock + 1;
-        shard.clock = clock;
-        shard.map.get_mut(key).map(|slot| {
+    /// Retrieves the entry for `key`, refreshing its recency stamp.
+    pub fn get(&self, key: &CacheKey) -> Option<PulseEntry> {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
+        inner.map.get_mut(key).map(|slot| {
             slot.stamp = clock;
             slot.entry.clone()
         })
     }
 
-    fn put(&self, key: CacheKey, entry: PulseEntry) {
+    /// Inserts (or replaces) the entry for `key`, then evicts
+    /// least-recently-used entries until the store fits its budget.
+    pub fn put(&self, key: CacheKey, entry: PulseEntry) {
         let added = entry_bytes(&key, &entry);
         let mut delta = added as i64;
         let mut new_entries = 1i64;
-        let lock = self.shard(&key);
-        let mut shard = lock.write().unwrap_or_else(|e| e.into_inner());
-        shard.clock += 1;
-        let stamp = shard.clock;
-        if let Some(old) = shard.map.insert(key.clone(), Slot { entry, stamp }) {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let stamp = inner.clock;
+        if let Some(old) = inner.map.insert(key.clone(), Slot { entry, stamp }) {
             let removed = entry_bytes(&key, &old.entry);
-            shard.bytes -= removed;
+            inner.bytes -= removed;
             delta -= removed as i64;
             new_entries = 0;
         }
-        shard.bytes += added;
+        inner.bytes += added;
         gauge_resident(delta, new_entries);
-        self.enforce_budget(&mut shard);
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).map.len())
-            .sum()
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).bytes)
-            .sum()
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> Vec<(CacheKey, PulseEntry)> {
-        let mut all = Vec::new();
-        for s in &self.shards {
-            let shard = s.read().unwrap_or_else(|e| e.into_inner());
-            all.extend(shard.map.iter().map(|(k, v)| (k.clone(), v.entry.clone())));
+        let Some(budget) = self.budget_bytes else {
+            return;
+        };
+        while inner.bytes > budget {
+            // Unique stamps mean a unique minimum: eviction order is a
+            // pure function of the access history.
+            let victim = inner
+                .map
+                .iter()
+                .min_by_key(|(_, slot)| slot.stamp)
+                .map(|(k, _)| k.clone())
+                .expect("a store over its budget holds an entry");
+            let slot = inner.map.remove(&victim).expect("victim is resident");
+            let removed = entry_bytes(&victim, &slot.entry);
+            inner.bytes -= removed;
+            inner.evictions += 1;
+            epoc_rt::telemetry::counter_add("pulse_lib.evictions", 1);
+            gauge_resident(-(removed as i64), -1);
         }
+    }
+
+    /// Number of stored entries.
+    pub fn len(&self) -> usize {
+        self.lock().map.len()
+    }
+
+    /// Estimated resident bytes of all stored entries (waveforms
+    /// dominate; see [`entry_bytes`]).
+    pub fn approx_bytes(&self) -> u64 {
+        self.lock().bytes
+    }
+
+    /// Entries evicted since construction (0 without a budget).
+    pub fn evictions(&self) -> u64 {
+        self.lock().evictions
+    }
+
+    /// All entries, sorted by key — a deterministic order regardless of
+    /// insertion history or recency stamps. The persistence layer
+    /// serializes this, so library files are byte-reproducible.
+    pub fn snapshot(&self) -> Vec<(CacheKey, PulseEntry)> {
+        let inner = self.lock();
+        let mut all: Vec<_> = inner
+            .map
+            .iter()
+            .map(|(k, slot)| (k.clone(), slot.entry.clone()))
+            .collect();
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
-    }
-
-    fn clear(&self) {
-        let mut dropped = 0i64;
-        let mut bytes = 0i64;
-        for s in &self.shards {
-            let mut shard = s.write().unwrap_or_else(|e| e.into_inner());
-            dropped += shard.map.len() as i64;
-            bytes += shard.bytes as i64;
-            shard.map.clear();
-            shard.bytes = 0;
-        }
-        gauge_resident(-bytes, -dropped);
-    }
-
-    fn tier(&self) -> StoreTier {
-        StoreTier::Budgeted
     }
 }
 
@@ -568,8 +268,8 @@ mod tests {
 
     #[test]
     fn memory_store_round_trips_and_tracks_bytes() {
-        let s = MemoryStore::new();
-        assert!(s.is_empty());
+        let s = PulseStore::new(None);
+        assert_eq!(s.len(), 0);
         s.put(key(0), entry(16));
         assert_eq!(s.len(), 1);
         assert_eq!(s.approx_bytes(), one_entry_bytes());
@@ -579,53 +279,30 @@ mod tests {
         s.put(key(0), entry(32));
         assert_eq!(s.len(), 1);
         assert_eq!(s.approx_bytes(), entry_bytes(&key(0), &entry(32)));
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.approx_bytes(), 0);
-    }
-
-    #[test]
-    fn sharded_store_spreads_and_finds_keys() {
-        let s = ShardedStore::new(4);
-        assert_eq!(s.n_shards(), 4);
-        for i in 0..16 {
-            s.put(key(i), entry(4));
-        }
-        assert_eq!(s.len(), 16);
-        for i in 0..16 {
-            assert!(s.get(&key(i)).is_some(), "key {i} lost");
-        }
-        // More than one shard is actually populated.
-        let occupied = s
-            .shards
-            .iter()
-            .filter(|sh| !sh.read().unwrap().is_empty())
-            .count();
-        assert!(occupied > 1, "all 16 keys hashed into one shard");
     }
 
     #[test]
     fn snapshot_is_sorted_and_identical_across_layouts() {
-        let mem = MemoryStore::new();
-        let sharded = ShardedStore::new(3);
+        let forward = PulseStore::new(None);
+        let backward = PulseStore::new(None);
         // Insert in different orders; snapshots must still agree.
         for i in 0..8 {
-            mem.put(key(i), entry(i + 1));
+            forward.put(key(i), entry(i + 1));
         }
         for i in (0..8).rev() {
-            sharded.put(key(i), entry(i + 1));
+            backward.put(key(i), entry(i + 1));
         }
-        let a = mem.snapshot();
-        let b = sharded.snapshot();
+        let a = forward.snapshot();
+        let b = backward.snapshot();
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0].0 < w[1].0), "snapshot unsorted");
     }
 
     #[test]
     fn budget_is_respected() {
-        // Room for ~3 of the 16-slot entries in one shard.
+        // Room for 3 of the 16-slot entries.
         let per_entry = one_entry_bytes();
-        let s = BudgetedStore::new(1, per_entry * 3);
+        let s = PulseStore::new(Some(per_entry * 3));
         for i in 0..10 {
             s.put(key(i), entry(16));
         }
@@ -643,7 +320,7 @@ mod tests {
     fn eviction_is_lru_and_deterministic() {
         let per_entry = one_entry_bytes();
         let run = || -> Vec<(CacheKey, PulseEntry)> {
-            let s = BudgetedStore::new(1, per_entry * 2);
+            let s = PulseStore::new(Some(per_entry * 2));
             s.put(key(0), entry(16));
             s.put(key(1), entry(16));
             // Touch key 0 so key 1 becomes the LRU victim.
@@ -659,24 +336,66 @@ mod tests {
     }
 
     #[test]
-    fn oversized_entry_is_not_stored() {
-        let s = BudgetedStore::new(1, 64);
-        s.put(key(0), entry(512));
-        assert_eq!(s.len(), 0, "entry larger than the whole budget was kept");
-        assert_eq!(s.approx_bytes(), 0);
+    fn budget_evicts_the_least_recently_used_key_library_wide() {
+        // A budget of exactly k entries: inserting one more must evict the
+        // least recently used key of the whole library.
+        let k = 8;
+        let s = PulseStore::new(Some(one_entry_bytes() * k as u64));
+        for i in 0..k {
+            s.put(key(i), entry(16));
+        }
+        // Touch every key but 5, in a fixed order, so key 5 is the oldest.
+        for i in [3, 0, 7, 1, 6, 2, 4] {
+            assert!(
+                s.get(&key(i)).is_some(),
+                "key {i} missing before the overflow"
+            );
+        }
+        s.put(key(k), entry(16));
         assert_eq!(s.evictions(), 1);
+        assert_eq!(s.len(), k);
+        assert!(
+            s.get(&key(5)).is_none(),
+            "the library-wide LRU key survived"
+        );
+        for i in (0..=k).filter(|&i| i != 5) {
+            assert!(s.get(&key(i)).is_some(), "key {i} was evicted instead");
+        }
     }
 
     #[test]
     fn store_config_builds_the_right_tier() {
-        assert_eq!(StoreConfig::default().build().tier(), StoreTier::Memory);
-        let sharded = StoreConfig { shards: 8, budget_bytes: None };
-        assert_eq!(sharded.build().tier(), StoreTier::Sharded);
-        let budgeted = StoreConfig { shards: 8, budget_bytes: Some(1 << 20) };
-        assert_eq!(budgeted.build().tier(), StoreTier::Budgeted);
-        // Degenerate shard counts clamp rather than panic.
-        let zero = StoreConfig { shards: 0, budget_bytes: Some(1024) };
-        zero.build().put(key(0), entry(1));
+        // One store type serves both tiers; the config picks unbounded or
+        // budgeted.
+        let per_entry = one_entry_bytes();
+        let build = |budget_bytes| {
+            crate::library::PulseLibrary::from_config(
+                KeyPolicy::PhaseAware,
+                &StoreConfig { budget_bytes },
+            )
+        };
+        assert_eq!(StoreConfig::default().budget_bytes, None);
+        let unbounded = build(None);
+        let budgeted = build(Some(per_entry * 2));
+        for i in 0..4 {
+            unbounded.store().put(key(i), entry(16));
+            budgeted.store().put(key(i), entry(16));
+        }
+        assert_eq!((unbounded.len(), unbounded.evictions()), (4, 0));
+        assert_eq!((budgeted.len(), budgeted.evictions()), (2, 2));
+        // A degenerate zero budget stores nothing rather than panicking.
+        let zero = build(Some(0));
+        zero.store().put(key(0), entry(1));
+        assert_eq!((zero.len(), zero.evictions()), (0, 1));
+    }
+
+    #[test]
+    fn oversized_entry_is_not_stored() {
+        let s = PulseStore::new(Some(64));
+        s.put(key(0), entry(512));
+        assert_eq!(s.len(), 0, "entry larger than the whole budget was kept");
+        assert_eq!(s.approx_bytes(), 0);
+        assert_eq!(s.evictions(), 1);
     }
 
     #[test]

@@ -143,8 +143,8 @@ impl GrapeSynthesizer {
         Self::with_store_config(policy, search, max_qubits, &StoreConfig::default())
     }
 
-    /// Like [`GrapeSynthesizer::new`] with an explicit library storage
-    /// tier (sharded and/or byte-budgeted — see [`StoreConfig`]).
+    /// Like [`GrapeSynthesizer::new`] with an explicit library store
+    /// configuration (an optional byte budget — see [`StoreConfig`]).
     pub fn with_store_config(
         policy: KeyPolicy,
         search: DurationSearchConfig,
@@ -356,8 +356,8 @@ impl ModeledSynthesizer {
         Self::with_store_config(model, policy, &StoreConfig::default())
     }
 
-    /// Like [`ModeledSynthesizer::new`] with an explicit library storage
-    /// tier.
+    /// Like [`ModeledSynthesizer::new`] with an explicit library store
+    /// configuration.
     pub fn with_store_config(
         model: DurationModel,
         policy: KeyPolicy,
@@ -438,8 +438,8 @@ impl HybridSynthesizer {
     }
 
     /// Like [`HybridSynthesizer::with_search`] with an explicit library
-    /// storage tier shared (by configuration, not by instance) between the
-    /// two sub-backends' caches.
+    /// store configuration shared (by configuration, not by instance)
+    /// between the two sub-backends' caches.
     pub fn with_search_store(
         policy: KeyPolicy,
         search: DurationSearchConfig,

@@ -180,10 +180,10 @@ fn library_file_round_trip_is_lossless_under_both_policies() {
                 KeyPolicy::PhaseSensitive
             };
             let mut rng = StdRng::seed_from_u64(seed);
-            // Random storage tier: persistence must be tier-agnostic.
+            // Budgeted or not: persistence must not depend on the store's
+            // budget (a roomy one, so nothing is evicted).
             let store = StoreConfig {
-                shards: 1 + (rng.next_u64_below(4)) as usize,
-                budget_bytes: None,
+                budget_bytes: (rng.next_u64_below(2) == 1).then_some(1 << 30),
             };
             let lib = PulseLibrary::from_config(policy, &store);
             let mut unitaries = Vec::new();

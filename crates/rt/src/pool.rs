@@ -1,6 +1,6 @@
-//! Scoped-thread parallel map and a reusable dispatch crew.
+//! Scoped-thread parallel map and in-place parallel for-each.
 //!
-//! Replaces `crossbeam::thread::scope` in `core::pipeline`: a fixed crew
+//! Replaces `crossbeam::thread::scope` in `core::pipeline`: a fixed set
 //! of workers pulls item indices off a shared atomic counter and writes
 //! each result into its slot, so the output order matches the input order
 //! regardless of which worker computed what. With equal inputs the output
@@ -8,26 +8,21 @@
 //! determinism guarantee rests on.
 //!
 //! [`parallel_map`]/[`parallel_for_mut`] spawn threads per call, which is
-//! fine for coarse one-shot fan-outs. [`with_crew`] keeps the threads
-//! alive across many small dispatch rounds — the shape of an A* search
-//! loop that evaluates a handful of candidates per expansion — paying the
-//! spawn cost once per search instead of once per round.
+//! fine for coarse one-shot fan-outs.
 //!
 //! Every fan-out replicates the caller's telemetry job id (see
 //! [`crate::telemetry::TelemetryScope`]) into the worker threads, so
 //! spans and counters recorded inside a parallel stage stay attributed
 //! to the compile job that dispatched it. The id travels with the work
-//! (captured at dispatch time for crew rounds), never with the thread.
+//! (captured at dispatch time), never with the thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Locks `m`, recovering the guard from a poisoned lock. Poisoning here
-/// means a sibling worker panicked mid-round; the protected data (result
-/// slots, round state) is still structurally valid, and the panic itself
-/// propagates when the thread scope joins — recovering keeps the
-/// teardown orderly instead of cascading (an `unwrap` inside a `Drop`
-/// during that unwind would abort the process).
+/// means a sibling worker panicked mid-map; the result slots are still
+/// structurally valid, and the panic itself propagates when the thread
+/// scope joins.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -83,7 +78,7 @@ where
         .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("worker crew left a slot unfilled")
+                .expect("parallel_map left a slot unfilled")
         })
         .collect()
 }
@@ -123,222 +118,6 @@ where
             });
         }
     });
-}
-
-/// One batch of work shared between the dispatcher and the crew: items,
-/// one result slot per item, a claim counter, and a completion counter.
-struct Round<T, R> {
-    items: Arc<Vec<T>>,
-    results: Arc<Vec<Mutex<Option<R>>>>,
-    next: Arc<AtomicUsize>,
-    done: Arc<AtomicUsize>,
-    /// Telemetry job id of the dispatching thread, replicated into each
-    /// worker for the duration of the round.
-    job: u64,
-}
-
-// Manual impl: `derive(Clone)` would demand `T: Clone` / `R: Clone`,
-// but only the `Arc` handles are cloned.
-impl<T, R> Clone for Round<T, R> {
-    fn clone(&self) -> Self {
-        Self {
-            items: Arc::clone(&self.items),
-            results: Arc::clone(&self.results),
-            next: Arc::clone(&self.next),
-            done: Arc::clone(&self.done),
-            job: self.job,
-        }
-    }
-}
-
-struct RoundState<T, R> {
-    /// Bumped on every dispatch so sleeping workers can tell a new round
-    /// from a spurious wakeup.
-    generation: u64,
-    shutdown: bool,
-    round: Option<Round<T, R>>,
-}
-
-struct CrewShared<T, R> {
-    state: Mutex<RoundState<T, R>>,
-    /// Signaled by the dispatcher when a new round is posted (or on
-    /// shutdown).
-    work_cv: Condvar,
-    /// Signaled by whichever thread finishes a round's last item.
-    done_cv: Condvar,
-}
-
-/// Claims and computes items of `round` until none remain. Run by both
-/// the crew workers and the dispatching thread itself.
-fn run_round<T, R, F>(round: &Round<T, R>, job: &F, shared: &CrewShared<T, R>)
-where
-    F: Fn(usize, &T) -> R,
-{
-    let n = round.items.len();
-    loop {
-        let i = round.next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return;
-        }
-        let result = job(i, &round.items[i]);
-        *lock_recover(&round.results[i]) = Some(result);
-        if round.done.fetch_add(1, Ordering::AcqRel) + 1 == n {
-            // Takes the state lock before notifying so the wakeup cannot
-            // slip between the dispatcher's counter check and its wait.
-            let _st = lock_recover(&shared.state);
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-fn crew_worker<T, R, F>(shared: &CrewShared<T, R>, job: &F)
-where
-    F: Fn(usize, &T) -> R,
-{
-    let mut seen = 0u64;
-    loop {
-        let round = {
-            let mut st = lock_recover(&shared.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != seen {
-                    seen = st.generation;
-                    // The round may already be over (the dispatcher
-                    // finished it alone and took it down): keep waiting.
-                    if let Some(r) = st.round.clone() {
-                        break r;
-                    }
-                }
-                st = shared
-                    .work_cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        let _scope = crate::telemetry::TelemetryScope::enter(round.job);
-        run_round(&round, job, shared);
-    }
-}
-
-/// Signals shutdown when the driver exits (normally or by panic) so the
-/// scoped workers wake up and join instead of deadlocking the scope.
-struct ShutdownGuard<'a, T, R>(&'a CrewShared<T, R>);
-
-impl<T, R> Drop for ShutdownGuard<'_, T, R> {
-    fn drop(&mut self) {
-        // This drop runs while a panic may be unwinding (that is its
-        // whole purpose); the poison-recovering lock keeps it from
-        // double-panicking into a process abort.
-        lock_recover(&self.0.state).shutdown = true;
-        self.0.work_cv.notify_all();
-    }
-}
-
-/// A reusable worker crew handed to the driver closure of [`with_crew`].
-///
-/// [`Crew::dispatch`] fans a batch of items out over the crew and returns
-/// the results **in input order** — which worker computed what never
-/// shows, so a dispatch round is deterministic at any worker count.
-pub struct Crew<'a, T, R, F> {
-    /// `None` means the crew is inline: `dispatch` runs on the caller.
-    shared: Option<&'a CrewShared<T, R>>,
-    job: &'a F,
-}
-
-impl<T, R, F> Crew<'_, T, R, F>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    /// Evaluates `job` on every item and returns the results in input
-    /// order. The dispatching thread participates in the computation, so
-    /// a one-worker crew is exactly a serial loop.
-    pub fn dispatch(&self, items: Vec<T>) -> Vec<R> {
-        let Some(shared) = self.shared else {
-            return items.iter().enumerate().map(|(i, t)| (self.job)(i, t)).collect();
-        };
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let n = items.len();
-        let round = Round {
-            items: Arc::new(items),
-            results: Arc::new((0..n).map(|_| Mutex::new(None)).collect()),
-            next: Arc::new(AtomicUsize::new(0)),
-            done: Arc::new(AtomicUsize::new(0)),
-            job: crate::telemetry::current_job(),
-        };
-        {
-            let mut st = lock_recover(&shared.state);
-            st.generation = st.generation.wrapping_add(1);
-            st.round = Some(round.clone());
-            shared.work_cv.notify_all();
-        }
-        // Help with the round, then wait out any straggler workers.
-        run_round(&round, self.job, shared);
-        {
-            let mut st = lock_recover(&shared.state);
-            while round.done.load(Ordering::Acquire) < n {
-                st = shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-            st.round = None;
-        }
-        round
-            .results
-            .iter()
-            .map(|slot| {
-                lock_recover(slot)
-                    .take()
-                    .expect("worker crew left a slot unfilled")
-            })
-            .collect()
-    }
-}
-
-/// Runs `driver` with a crew of `workers` threads evaluating `job`.
-///
-/// The crew is spawned once and reused by every [`Crew::dispatch`] the
-/// driver makes — the cheap-per-round counterpart to [`parallel_map`].
-/// With `workers <= 1` no threads are spawned and dispatch runs inline on
-/// the calling thread; the dispatching thread always participates, so
-/// `workers` is the total computing thread count. A panic in `job`
-/// propagates out of the scope (a panic in `driver` shuts the crew down
-/// before unwinding).
-pub fn with_crew<T, R, F, D, Out>(workers: usize, job: F, driver: D) -> Out
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    D: FnOnce(&Crew<'_, T, R, F>) -> Out,
-{
-    if workers <= 1 {
-        return driver(&Crew { shared: None, job: &job });
-    }
-    let shared = CrewShared {
-        state: Mutex::new(RoundState {
-            generation: 0,
-            shutdown: false,
-            round: None,
-        }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-    };
-    std::thread::scope(|scope| {
-        let _guard = ShutdownGuard(&shared);
-        for _ in 0..workers - 1 {
-            scope.spawn(|| crew_worker(&shared, &job));
-        }
-        driver(&Crew {
-            shared: Some(&shared),
-            job: &job,
-        })
-    })
 }
 
 #[cfg(test)]
@@ -427,51 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn crew_results_are_in_input_order_at_any_worker_count() {
-        let job = |i: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(17) ^ i as u64;
-        let items: Vec<u64> = (0..97).collect();
-        let expected: Vec<u64> = items.iter().enumerate().map(|(i, x)| job(i, x)).collect();
-        for workers in [1, 2, 3, 8] {
-            let out = with_crew(workers, job, |crew| crew.dispatch(items.clone()));
-            assert_eq!(out, expected, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn crew_survives_many_rounds() {
-        // The point of the crew: many small dispatches reuse the same
-        // threads. Interleave round sizes to exercise stragglers waking
-        // into already-finished rounds.
-        with_crew(4, |i: usize, &x: &u32| x + i as u32, |crew| {
-            for round in 0..200u32 {
-                let n = (round % 7) as usize;
-                let out = crew.dispatch(vec![round; n]);
-                let expected: Vec<u32> = (0..n as u32).map(|i| round + i).collect();
-                assert_eq!(out, expected, "round {round}");
-            }
-        });
-    }
-
-    #[test]
-    fn crew_empty_dispatch_is_empty() {
-        let out = with_crew(3, |_: usize, &x: &u8| x, |crew| crew.dispatch(Vec::new()));
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn crew_single_worker_runs_inline() {
-        // With one worker the dispatch must not touch any thread
-        // machinery: verify by observing the calling thread's id.
-        let caller = std::thread::current().id();
-        let out = with_crew(
-            1,
-            move |_: usize, _: &()| std::thread::current().id() == caller,
-            |crew| crew.dispatch(vec![(), (), ()]),
-        );
-        assert_eq!(out, vec![true, true, true]);
-    }
-
-    #[test]
     fn workers_inherit_dispatchers_job_scope() {
         use crate::telemetry::{current_job, TelemetryScope};
         let _scope = TelemetryScope::enter(42);
@@ -481,27 +215,12 @@ mod tests {
         let mut slots = vec![0u64; 32];
         parallel_for_mut(&mut slots, 4, |_, s| *s = current_job());
         assert!(slots.iter().all(|&j| j == 42), "parallel_for_mut lost the job id");
-        let crew_seen = with_crew(
-            4,
-            |_: usize, _: &u8| current_job(),
-            |crew| {
-                // The round carries the id live at dispatch time, not the
-                // id live when the crew was spawned.
-                let _inner = TelemetryScope::enter(77);
-                crew.dispatch(vec![0u8; 32])
-            },
-        );
+        // The id live at dispatch time wins, not the one a thread last saw.
+        let _inner = TelemetryScope::enter(77);
+        let nested = parallel_map(&items, 4, |_, _| current_job());
         assert!(
-            crew_seen.iter().all(|&j| j == 77),
-            "crew round lost the dispatch-time job id: {crew_seen:?}"
+            nested.iter().all(|&j| j == 77),
+            "parallel_map lost the dispatch-time job id: {nested:?}"
         );
-    }
-
-    #[test]
-    fn crew_driver_return_value_passes_through() {
-        let sum: u64 = with_crew(2, |_: usize, &x: &u64| x * 2, |crew| {
-            crew.dispatch((1..=10).collect()).into_iter().sum()
-        });
-        assert_eq!(sum, 110);
     }
 }

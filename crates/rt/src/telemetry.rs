@@ -406,7 +406,7 @@ pub fn gauge_set(name: &'static str, value: i64) {
 }
 
 /// Adjusts the gauge `name` by a signed `delta` (saturating). Deltas are
-/// commutative, so independent sources (e.g. the sharded pulse stores)
+/// commutative, so independent sources (e.g. several pulse libraries)
 /// can maintain one shared level gauge without coordination. When
 /// telemetry is disabled this is one atomic load.
 #[inline]
@@ -605,7 +605,7 @@ pub fn log_event(level: LogLevel, event: &str, fields: Json) {
 }
 
 /// Maps a dotted metric name onto the Prometheus charset:
-/// `pulse_lib.lookup_ns.memory` → `epoc_pulse_lib_lookup_ns_memory`.
+/// `pulse_lib.lookup_ns` → `epoc_pulse_lib_lookup_ns`.
 fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 5);
     out.push_str("epoc_");

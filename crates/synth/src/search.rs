@@ -89,21 +89,6 @@ pub struct SynthConfig {
     pub instantiate: InstantiateOptions,
     /// RNG seed (synthesis is deterministic given the seed).
     pub seed: u64,
-    /// Worker threads instantiating frontier candidates. Each candidate's
-    /// optimization is seeded purely by `(seed, candidate sequence
-    /// number)` and replayed into the search state in claim order, so
-    /// node counts, structures, and distances are **byte-identical at any
-    /// worker count**. `1` (the default) runs on the calling thread.
-    pub workers: usize,
-    /// How many A* nodes each round claims off the frontier for batch
-    /// expansion. The claim width — not the worker count — determines the
-    /// search trajectory; it is a fixed property of the configuration, so
-    /// changing `workers` only changes who computes what. The default of
-    /// `1` is plain best-first search (each round still evaluates all of
-    /// the claimed node's children in parallel); widths above 1 expose
-    /// more parallelism per round at the cost of expanding nodes a strict
-    /// best-first order might never reach.
-    pub frontier_width: usize,
 }
 
 impl Default for SynthConfig {
@@ -116,8 +101,6 @@ impl Default for SynthConfig {
             leap_patience: 12,
             instantiate: InstantiateOptions::default(),
             seed: 0xEC0C,
-            workers: 1,
-            frontier_width: 1,
         }
     }
 }
@@ -151,8 +134,8 @@ struct Node {
     score: f64,
     /// Creation sequence number — the deterministic tie-break: equal
     /// scores pop in creation order, making the heap's pop sequence a
-    /// total order independent of insertion history (and therefore of any
-    /// batching the parallel frontier does).
+    /// total order independent of insertion history. It also seeds the
+    /// candidate's instantiation RNG.
     seq: u64,
 }
 
@@ -191,22 +174,6 @@ impl Ord for Node {
     }
 }
 
-/// A frontier candidate shipped to the evaluation crew: the structure to
-/// instantiate plus its sequence number, which seeds the optimization.
-struct EvalJob {
-    template: Template,
-    seq: u64,
-}
-
-/// What the crew hands back: the instantiated candidate, ready to become
-/// a [`Node`] during the serial replay phase.
-struct EvalOut {
-    template: Template,
-    seq: u64,
-    params: Vec<f64>,
-    distance: f64,
-}
-
 /// Synthesizes a circuit implementing `target` (up to global phase) from
 /// VUGs and CNOTs.
 ///
@@ -232,12 +199,11 @@ pub fn synthesize(target: &Matrix, config: &SynthConfig) -> Result<SynthResult, 
     synthesize_with_cancel(target, config, &epoc_rt::cancel::CancelScope::none())
 }
 
-/// [`synthesize`] with a cooperative-cancellation scope polled at the A*
-/// claim loop. Each expansion batch charges its node count against the
-/// scope's QSearch budget *before* being computed; exhaustion ends the
-/// search exactly like a `max_nodes` blow-through (a best-effort,
-/// non-converged result), so budgeted outcomes are byte-identical at any
-/// worker count.
+/// [`synthesize`] with a cooperative-cancellation scope polled once per
+/// A* expansion. Each expansion charges its child count against the
+/// scope's QSearch budget *before* instantiating them; exhaustion ends
+/// the search exactly like a `max_nodes` blow-through (a best-effort,
+/// non-converged result), so budgeted outcomes are deterministic.
 ///
 /// # Errors
 ///
@@ -294,144 +260,104 @@ pub fn synthesize_with_cancel(
         .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
         .collect();
 
-    // Candidate instantiation, run by the evaluation crew. The optimizer
-    // RNG is seeded purely by `(config.seed, seq)`, so each result is a
-    // function of the job alone — independent of which worker computes it
-    // and of how jobs are batched into rounds.
-    let job = |_idx: usize, j: &EvalJob| -> EvalOut {
-        let mut rng = StdRng::seed_from_u64(faults::mix(config.seed, j.seq));
-        let (params, distance) = j.template.instantiate(target, &mut rng, &config.instantiate);
-        EvalOut {
-            template: j.template.clone(),
-            seq: j.seq,
-            params,
+    // Candidate instantiation. The optimizer RNG is seeded purely by
+    // `(config.seed, seq)`, so each node is a function of its structure
+    // and creation number alone.
+    let evaluate = |template: Template, seq: u64| -> Node {
+        let mut rng = StdRng::seed_from_u64(faults::mix(config.seed, seq));
+        let (params, distance) = template.instantiate(target, &mut rng, &config.instantiate);
+        let score = distance + config.cnot_weight * template.cnot_count() as f64;
+        Node {
+            template: Rc::new(template),
+            params: Rc::new(params),
             distance,
+            score,
+            seq,
         }
     };
 
-    // The A* loop runs in four repeating stages — claim (pop a frontier
-    // batch), compute (instantiate all children on the crew), replay
-    // (merge results serially in claim order), leap (restart bookkeeping).
-    // Everything order-sensitive happens in the serial stages, so the
-    // trajectory is byte-identical at any `config.workers`.
-    epoc_rt::pool::with_crew(config.workers, job, |crew| {
-        let mut next_seq = 0u64;
-        let make_node = |out: EvalOut| -> Node {
-            let score = out.distance + config.cnot_weight * out.template.cnot_count() as f64;
-            Node {
-                template: Rc::new(out.template),
-                params: Rc::new(out.params),
-                distance: out.distance,
-                score,
-                seq: out.seq,
-            }
-        };
-        let mut nodes_evaluated = 0usize;
-        let root_template = Template::initial(n);
-        let mut root_out = crew.dispatch(vec![EvalJob {
-            template: root_template,
-            seq: next_seq,
-        }]);
-        next_seq += 1;
-        let root = make_node(root_out.pop().expect("root evaluation"));
-        nodes_evaluated += 1;
-        let mut best = root.share();
-        let mut heap = BinaryHeap::new();
-        heap.push(root);
-        let mut since_improvement = 0usize;
+    let root = evaluate(Template::initial(n), 0);
+    let mut next_seq = 1u64;
+    let mut nodes_evaluated = 1usize;
+    let mut best = root.share();
+    let mut heap = BinaryHeap::new();
+    heap.push(root);
+    let mut since_improvement = 0usize;
 
-        // Fail point `qsearch.budget`: an injected budget exhaustion before
-        // the A* loop — the root comes back non-converged, exactly like a
-        // genuine `max_nodes` blow-through. Keyed by (target, budget, seed)
-        // so the fate is a pure function of the work item, and fresh for
-        // every budget escalation the recovery ladder tries.
-        if faults::is_armed() {
-            let key = faults::mix(
-                fault_fingerprint(target),
-                faults::mix(config.max_nodes as u64, config.seed),
-            );
-            if faults::fail_point_keyed("qsearch.budget", key) {
-                return Ok(finish(best, nodes_evaluated, false));
-            }
+    // Fail point `qsearch.budget`: an injected budget exhaustion before
+    // the A* loop — the root comes back non-converged, exactly like a
+    // genuine `max_nodes` blow-through. Keyed by (target, budget, seed)
+    // so the fate is a pure function of the work item, and fresh for
+    // every budget escalation the recovery ladder tries.
+    if faults::is_armed() {
+        let key = faults::mix(
+            fault_fingerprint(target),
+            faults::mix(config.max_nodes as u64, config.seed),
+        );
+        if faults::fail_point_keyed("qsearch.budget", key) {
+            return Ok(finish(best, nodes_evaluated, false));
         }
+    }
 
-        let width = config.frontier_width.max(1);
-        'outer: loop {
-            // Claim: pop up to `width` expandable nodes. The heap's total
-            // order (score, then creation sequence) makes this batch a
-            // pure function of the search history.
-            let mut claimed: Vec<Node> = Vec::new();
-            while claimed.len() < width {
-                match heap.pop() {
-                    Some(node) if node.distance < config.distance_threshold => {
-                        return Ok(finish(node, nodes_evaluated, true));
-                    }
-                    Some(node) if node.template.cnot_count() >= config.max_cnots => continue,
-                    Some(node) => claimed.push(node),
-                    None => break,
-                }
-            }
-            if claimed.is_empty() || nodes_evaluated >= config.max_nodes {
-                break;
-            }
-            // Compute: every child of every claimed node, as one batch on
-            // the crew.
-            let mut jobs = Vec::with_capacity(claimed.len() * pairs.len());
-            for node in &claimed {
-                for &(c, t) in &pairs {
-                    let mut templ = (*node.template).clone();
-                    templ.push_cell(c, t);
-                    jobs.push(EvalJob {
-                        template: templ,
-                        seq: next_seq,
-                    });
-                    next_seq += 1;
-                }
-            }
-            // Cooperative cancellation: charge the whole batch (a pure
-            // function of the claim, so identical at any worker count)
-            // before computing it. Budget exhaustion ends the search like
-            // a max_nodes blow-through; a raised flag or blown deadline
-            // aborts typed.
-            match cancel.spend_qsearch_nodes(jobs.len() as u64) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(reason) => return Err(SynthError::Canceled(reason)),
-            }
-            let outs = crew.dispatch(jobs);
-            // Replay: merge results serially, in claim order — the search
-            // state evolves exactly as if everything ran on one thread.
-            for out in outs {
-                let child = make_node(out);
-                nodes_evaluated += 1;
-                if child.distance < best.distance - 1e-12 {
-                    best = child.share();
-                    since_improvement = 0;
-                } else {
-                    since_improvement += 1;
-                }
-                if child.distance < config.distance_threshold {
-                    return Ok(finish(child, nodes_evaluated, true));
-                }
-                heap.push(child);
-                if nodes_evaluated >= config.max_nodes {
-                    break 'outer;
-                }
-            }
-            // LEAP: commit the best prefix when stuck.
-            if config.leap_patience > 0 && since_improvement >= config.leap_patience {
-                epoc_rt::telemetry::counter_add("qsearch.leap_restarts", 1);
-                heap.clear();
-                let mut restart = best.share();
-                restart.score = best.distance; // reset score so it expands first
-                restart.seq = next_seq;
+    'search: while let Some(node) = heap.pop() {
+        if node.distance < config.distance_threshold {
+            return Ok(finish(node, nodes_evaluated, true));
+        }
+        if node.template.cnot_count() >= config.max_cnots {
+            continue;
+        }
+        if nodes_evaluated >= config.max_nodes {
+            break;
+        }
+        // Cooperative cancellation: charge the whole expansion before
+        // instantiating it. Budget exhaustion ends the search like a
+        // max_nodes blow-through; a raised flag or blown deadline aborts
+        // typed.
+        match cancel.spend_qsearch_nodes(pairs.len() as u64) {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(reason) => return Err(SynthError::Canceled(reason)),
+        }
+        // Expand: instantiate every child, then merge them in pair order.
+        let children: Vec<Node> = pairs
+            .iter()
+            .map(|&(c, t)| {
+                let mut template = (*node.template).clone();
+                template.push_cell(c, t);
+                let seq = next_seq;
                 next_seq += 1;
-                heap.push(restart);
+                evaluate(template, seq)
+            })
+            .collect();
+        for child in children {
+            nodes_evaluated += 1;
+            if child.distance < best.distance - 1e-12 {
+                best = child.share();
                 since_improvement = 0;
+            } else {
+                since_improvement += 1;
+            }
+            if child.distance < config.distance_threshold {
+                return Ok(finish(child, nodes_evaluated, true));
+            }
+            heap.push(child);
+            if nodes_evaluated >= config.max_nodes {
+                break 'search;
             }
         }
-        Ok(finish(best, nodes_evaluated, false))
-    })
+        // LEAP: commit the best prefix when stuck.
+        if config.leap_patience > 0 && since_improvement >= config.leap_patience {
+            epoc_rt::telemetry::counter_add("qsearch.leap_restarts", 1);
+            heap.clear();
+            let mut restart = best.share();
+            restart.score = best.distance; // reset score so it expands first
+            restart.seq = next_seq;
+            next_seq += 1;
+            heap.push(restart);
+            since_improvement = 0;
+        }
+    }
+    Ok(finish(best, nodes_evaluated, false))
 }
 
 fn finish(node: Node, nodes_evaluated: usize, converged: bool) -> SynthResult {
@@ -697,37 +623,5 @@ mod tests {
         let a = synthesize(&target, &SynthConfig::default()).unwrap();
         let b = synthesize(&target, &SynthConfig::default()).unwrap();
         assert_eq!(a.circuit, b.circuit);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_search() {
-        // The claim/compute/replay scheme makes the whole trajectory a
-        // function of the configuration alone: node counts, structures,
-        // and distances must be identical at any worker count.
-        let mut rng = StdRng::seed_from_u64(77);
-        let target = random_unitary(4, &mut rng);
-        let run = |workers: usize| {
-            synthesize(
-                &target,
-                &SynthConfig {
-                    workers,
-                    ..SynthConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let base = run(1);
-        for workers in [2, 4] {
-            let r = run(workers);
-            assert_eq!(r.circuit, base.circuit, "workers = {workers}");
-            assert_eq!(
-                r.distance.to_bits(),
-                base.distance.to_bits(),
-                "workers = {workers}"
-            );
-            assert_eq!(r.nodes_evaluated, base.nodes_evaluated, "workers = {workers}");
-            assert_eq!(r.cnots, base.cnots, "workers = {workers}");
-            assert_eq!(r.converged, base.converged, "workers = {workers}");
-        }
     }
 }

@@ -107,14 +107,17 @@ fn warm_schedule_matches_cold_schedule() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Persistence is tier-agnostic: a sharded, byte-budgeted service store
-/// (the `epocd` default shape) round-trips through disk and warm-hits
-/// exactly like the plain map, as long as the budget holds the workload.
+/// Persistence does not depend on the budget: a byte-budgeted service
+/// store (`epocd --library-budget`) round-trips through disk and
+/// warm-hits exactly like the unbounded map, as long as the budget holds
+/// the workload.
 #[test]
-fn budgeted_sharded_tier_survives_restart() {
+fn budgeted_store_survives_restart() {
     let circuit = fixture();
     let path = temp_lib("budgeted");
-    let store = StoreConfig { shards: 4, budget_bytes: Some(1 << 20) };
+    let store = StoreConfig {
+        budget_bytes: Some(1 << 20),
+    };
     let cold_compiler = EpocCompiler::new(config(1).with_store(store));
     let cold = cold_compiler.compile(&circuit).unwrap();
     assert!(cold.verified);
@@ -138,9 +141,9 @@ fn evicted_entries_recompute_on_next_lookup() {
     let unbounded = EpocCompiler::new(config(1));
     let reference = unbounded.compile(&circuit).unwrap();
     // ~one small entry of budget: nearly every insert evicts something.
-    let starved = EpocCompiler::new(
-        config(1).with_store(StoreConfig { shards: 1, budget_bytes: Some(512) }),
-    );
+    let starved = EpocCompiler::new(config(1).with_store(StoreConfig {
+        budget_bytes: Some(512),
+    }));
     let r = starved.compile(&circuit).unwrap();
     assert!(r.verified);
     assert!(starved.library_evictions() > 0, "512-byte budget never evicted");
@@ -152,16 +155,16 @@ fn evicted_entries_recompute_on_next_lookup() {
     // Determinism holds under eviction pressure too: the library is only
     // touched from serial pipeline phases, so the LRU clock — and thus
     // the hit/miss/recompute pattern — is identical at any worker count.
-    let starved4 = EpocCompiler::new(
-        config(4).with_store(StoreConfig { shards: 1, budget_bytes: Some(512) }),
-    );
+    let starved4 = EpocCompiler::new(config(4).with_store(StoreConfig {
+        budget_bytes: Some(512),
+    }));
     let r4 = starved4.compile(&circuit).unwrap();
     assert_eq!(normalized_json(r), normalized_json(r4));
 }
 
-/// Saving the same library twice — including from a restarted store with
-/// a different shard layout — produces byte-identical files: persistence
-/// is canonical, so checkpoints are reproducible artifacts.
+/// Saving the same library twice — including from a restarted, budgeted
+/// store at another worker count — produces byte-identical files:
+/// persistence is canonical, so checkpoints are reproducible artifacts.
 #[test]
 fn library_files_are_byte_deterministic() {
     let circuit = fixture();
@@ -170,16 +173,16 @@ fn library_files_are_byte_deterministic() {
     let compiler = EpocCompiler::new(config(1));
     compiler.compile(&circuit).unwrap();
     compiler.save_library(&path_a).unwrap();
-    // Restart into a different shard layout and re-save.
-    let restarted = EpocCompiler::new(
-        config(4).with_store(StoreConfig { shards: 8, budget_bytes: None }),
-    );
+    // Restart into a differently configured store and re-save.
+    let restarted = EpocCompiler::new(config(4).with_store(StoreConfig {
+        budget_bytes: Some(1 << 20),
+    }));
     restarted.load_library(&path_a).unwrap();
     restarted.save_library(&path_b).unwrap();
     assert_eq!(
         std::fs::read_to_string(&path_a).unwrap(),
         std::fs::read_to_string(&path_b).unwrap(),
-        "library file bytes depend on the storage layout"
+        "library file bytes depend on the store configuration"
     );
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();
