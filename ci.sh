@@ -224,7 +224,10 @@ fi
 # asserting >= 0.99 noiseless process fidelity against the circuit
 # unitary. This is the end-to-end digital-twin check: it fails on
 # scheduling bugs and wrong block embeddings that GRAPE's own per-block
-# fidelity cannot see.
+# fidelity cannot see. It checks one circuit through the CLI; suite-wide
+# replay coverage (every circuit of EXPERIMENTS.md's replay table, each
+# held to >= 0.98 fidelity and to within 2e-3 of its ESP) is the
+# tests/replay_oracle.rs integration test in the test step above.
 if [ "$quick" -eq 0 ]; then
     run ./target/release/epocc --simulate --sim-check 0.99 \
         --schedule target/sim-smoke-schedule.json bench:wstate_n3

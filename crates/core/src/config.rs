@@ -81,9 +81,11 @@ pub struct EpocConfig {
     /// Verify the optimized circuit against the input by statevector
     /// probing when the register is small enough.
     pub verify: bool,
-    /// Worker count for the parallel synthesis stage; `None` uses the
-    /// machine's available parallelism. Reports are identical at any
-    /// worker count (synthesis is deterministic per block and results
+    /// Width of the block fan-outs for synthesis and pulses (blocks and
+    /// GRAPE jobs); `None` uses the machine's available parallelism.
+    /// These fan-outs are a compile's only parallelism — GRAPE runs
+    /// serially inside each job. Reports are identical at any worker
+    /// count (every block and job is deterministic on its own and results
     /// merge in block order).
     pub workers: Option<usize>,
     /// Per-block recovery ladder for soft stage failures.
@@ -160,7 +162,8 @@ impl EpocConfig {
         self
     }
 
-    /// Pins the synthesis worker count (1 = fully sequential).
+    /// Pins the block fan-out width for synthesis and pulses (1 = fully
+    /// sequential).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self

@@ -6,7 +6,10 @@
 //! ```
 //!
 //! Synthesis fans blocks out over a fixed worker pool (the paper's "local
-//! entanglement and unitary calculations … executed in parallel").
+//! entanglement and unitary calculations … executed in parallel"), and
+//! pulse generation fans out its blocks and GRAPE jobs the same way. These
+//! fan-outs are the only parallelism in a compile: GRAPE itself runs
+//! serially inside each job.
 
 use crate::config::{Backend, EpocConfig};
 use crate::error::EpocError;
@@ -44,13 +47,7 @@ impl BackendImpl {
     pub(crate) fn new(config: &EpocConfig) -> Self {
         match config.backend {
             Backend::Hybrid { grape_limit } => {
-                // Plumb the pipeline worker count down into GRAPE itself:
-                // its per-timeslot parallelism is bit-deterministic at any
-                // worker count, so this only changes speed, never output.
                 let mut search = epoc_qoc::DurationSearchConfig::default();
-                search.grape.workers = config
-                    .workers
-                    .unwrap_or_else(epoc_rt::pool::default_workers);
                 // Constrained compilation: GRAPE optimizes *under* the
                 // control-electronics model so the kept fidelity is the
                 // conditioned one (see `epoc_qoc::GrapeConfig::hw`).
@@ -515,9 +512,9 @@ impl EpocCompiler {
                     .insert(key, entry.clone());
                 Ok(entry)
             };
-        // Fan the blocks out over a fixed worker crew (not a thread per
-        // block, which would spawn thousands of OS threads on large
-        // circuits). Per-block synthesis is deterministic under the
+        // Fan the blocks out over a fixed set of pool workers (not a
+        // thread per block, which would spawn thousands of OS threads on
+        // large circuits). Per-block synthesis is deterministic under the
         // configured seed and results merge in block order, so the output
         // is identical at any worker count.
         let n_workers = self
@@ -565,7 +562,7 @@ impl EpocCompiler {
         drop(stage_span);
 
         // §3.4 — pulse generation through the backend + cache, fanned out
-        // over the same worker crew as synthesis.
+        // over as many pool workers as synthesis.
         checkpoint()?;
         let stage_span = epoc_rt::telemetry::span("stage", "pulse");
         let stage_t = Instant::now();

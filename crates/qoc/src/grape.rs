@@ -11,7 +11,6 @@
 use crate::device::DeviceModel;
 use epoc_linalg::{c64, eigh_into, Complex64, HermitianEig, Matrix};
 use epoc_rt::faults;
-use epoc_rt::pool::parallel_for_mut;
 use epoc_rt::rng::Rng;
 
 /// A GRAPE failure. Bad inputs and numerical breakdowns are errors;
@@ -88,10 +87,11 @@ pub struct GrapeConfig {
     pub seed: u64,
     /// Random restarts.
     pub restarts: usize,
-    /// Worker threads for the per-slot phases (eigendecomposition /
-    /// propagator and gradient evaluation). Every slot is independent and
-    /// written to its own workspace entry, so results are bit-identical at
-    /// any worker count. `1` (the default) runs on the calling thread.
+    /// Ignored: GRAPE runs every time slot serially on the calling
+    /// thread, and a compile's parallelism is the pipeline's fan-out over
+    /// blocks and GRAPE jobs (`EpocConfig::workers`). The field stays only
+    /// because `perfbench/src/redrive.rs:44` assigns it; it is deleted
+    /// together with that line.
     pub workers: usize,
     /// Reuse each slot's eigensystem (and derived propagator / Fréchet
     /// phase matrix) across iterations while that slot's control
@@ -132,9 +132,8 @@ impl Default for GrapeConfig {
     }
 }
 
-/// Per-timeslot scratch owned by [`GrapeWorkspace`]. Each slot's buffers
-/// are disjoint, which is what lets the per-slot phases run on a worker
-/// crew without any cross-thread coordination beyond chunking.
+/// Per-timeslot scratch owned by [`GrapeWorkspace`]: one slot's cached
+/// eigensystem bundle plus the buffers its gradient evaluation works in.
 struct SlotScratch {
     /// Gathered control column `u[·][s]` — doubles as the eigensystem
     /// cache key: when the incoming amplitudes are bit-identical to these,
@@ -170,11 +169,6 @@ struct SlotScratch {
     /// Whether the cached bundle (eig/vdag/phases/prop/phi) is coherent
     /// with `amps`.
     cache_valid: bool,
-    /// Gradient contributions of this slot, one entry per channel.
-    grad: Vec<f64>,
-    /// Set when this slot's eigendecomposition failed; checked after the
-    /// parallel phase (the worker closure cannot early-return an error).
-    failed: bool,
 }
 
 impl SlotScratch {
@@ -196,8 +190,6 @@ impl SlotScratch {
             phi: zero(),
             phi_built: false,
             cache_valid: false,
-            grad: vec![0.0; n_ctrl],
-            failed: false,
         }
     }
 
@@ -215,7 +207,6 @@ impl SlotScratch {
         self.phi.copy_from(&src.phi);
         self.phi_built = src.phi_built;
         self.cache_valid = true;
-        self.failed = false;
     }
 }
 
@@ -360,9 +351,7 @@ pub fn grape_with_cancel(
     let mut ws = GrapeWorkspace::new(device, n_slots);
     // Control-electronics model: when active, fidelity is evaluated on
     // the conditioned controls `C(u)` and the gradient is pulled back
-    // through the straight-through estimator. Conditioning runs on the
-    // calling thread (plain sequential f64 arithmetic), so the
-    // worker-count bit-determinism guarantee is untouched.
+    // through the straight-through estimator.
     let hw_active = config.hw.as_ref().filter(|p| !p.is_identity());
     let mut hw_ws = epoc_hw::ConditionWorkspace::new();
     let mut uc: Vec<Vec<f64>> = match hw_active {
@@ -377,8 +366,8 @@ pub fn grape_with_cancel(
         for a in drift.amps.iter_mut() {
             *a = 0.0;
         }
-        prepare_slot(&mut drift, device, dt, config.gradient == GradientMode::Exact);
-        if !drift.failed {
+        let needs_phi = config.gradient == GradientMode::Exact;
+        if prepare_slot(&mut drift, device, dt, needs_phi).is_ok() {
             ws.drift = Some(Box::new(drift));
         }
     }
@@ -504,15 +493,25 @@ pub fn propagate(device: &DeviceModel, controls: &[Vec<f64>]) -> Result<Matrix, 
 /// eigensystem → `V†` → the propagator phases and `U_s = V·diag·V†` — and,
 /// when `needs_phi`, the exact-gradient Fréchet phase matrix `φ`. Marks the
 /// bundle cache-coherent on success.
-fn prepare_slot(slot: &mut SlotScratch, device: &DeviceModel, dt: f64, needs_phi: bool) {
+///
+/// # Errors
+///
+/// Returns [`GrapeError::Numerical`] (and leaves the bundle incoherent)
+/// when the eigendecomposition fails.
+fn prepare_slot(
+    slot: &mut SlotScratch,
+    device: &DeviceModel,
+    dt: f64,
+    needs_phi: bool,
+) -> Result<(), GrapeError> {
     let dim = device.dim();
     device.hamiltonian_into(&slot.amps, &mut slot.h);
-    if eigh_into(&slot.h, &mut slot.eig).is_err() {
-        slot.failed = true;
+    if let Err(e) = eigh_into(&slot.h, &mut slot.eig) {
         slot.cache_valid = false;
-        return;
+        return Err(GrapeError::Numerical(format!(
+            "eigendecomposition failed: {e}"
+        )));
     }
-    slot.failed = false;
     slot.eig.vectors.dagger_into(&mut slot.vdag);
     slot.phases.clear();
     slot.phases
@@ -543,6 +542,7 @@ fn prepare_slot(slot: &mut SlotScratch, device: &DeviceModel, dt: f64, needs_phi
     }
     slot.phi_built = needs_phi;
     slot.cache_valid = true;
+    Ok(())
 }
 
 /// Phase-invariant fidelity `|Tr(A†U)|/d`, with the gradient w.r.t. every
@@ -553,9 +553,9 @@ fn prepare_slot(slot: &mut SlotScratch, device: &DeviceModel, dt: f64, needs_phi
 /// channel reduces to `df_j = Σ_{x,y} H_j[x,y]·Q[y,x]` — the per-channel
 /// conjugation `V†·H_j·V` of the previous scheme is hoisted out of the
 /// channel loop entirely (a fixed four products per slot regardless of
-/// channel count). All per-slot work runs on `config.workers` threads over
-/// disjoint [`SlotScratch`] entries; the serial prefix/suffix sweep and
-/// input-order merge keep every value bit-identical at any worker count.
+/// channel count). Every phase runs serially on the calling thread: a
+/// compile's parallelism is its fan-out over blocks and GRAPE jobs, one
+/// level up.
 fn fidelity_and_gradient(
     device: &DeviceModel,
     adag: &Matrix,
@@ -569,15 +569,14 @@ fn fidelity_and_gradient(
     let channels = device.controls();
     let mode = config.gradient;
 
-    // Per-slot eigensystems and propagators (parallel, disjoint slots).
-    // A slot whose amplitudes are bit-identical to its previous evaluation
-    // keeps its cached bundle (common once Adam saturates amplitudes at
-    // the clamp); an all-zero slot adopts the hoisted drift bundle.
+    // Per-slot eigensystems and propagators. A slot whose amplitudes are
+    // bit-identical to its previous evaluation keeps its cached bundle
+    // (common once Adam saturates amplitudes at the clamp); an all-zero
+    // slot adopts the hoisted drift bundle.
     let needs_phi = mode == GradientMode::Exact;
     let use_cache = config.eig_cache;
-    let GrapeWorkspace { slots, drift, .. } = ws;
-    let drift = drift.as_deref();
-    parallel_for_mut(slots, config.workers, |s, slot| {
+    let drift = ws.drift.as_deref();
+    for (s, slot) in ws.slots.iter_mut().enumerate() {
         let hit = use_cache
             && slot.cache_valid
             && (!needs_phi || slot.phi_built)
@@ -587,8 +586,7 @@ fn fidelity_and_gradient(
                 .zip(controls)
                 .all(|(a, c)| a.to_bits() == c[s].to_bits());
         if hit {
-            slot.failed = false;
-            return;
+            continue;
         }
         for (a, c) in slot.amps.iter_mut().zip(controls) {
             *a = c[s];
@@ -597,16 +595,15 @@ fn fidelity_and_gradient(
             if let Some(d) = drift {
                 if !needs_phi || d.phi_built {
                     slot.copy_bundle_from(d);
-                    return;
+                    continue;
                 }
             }
         }
-        prepare_slot(slot, device, dt, needs_phi);
-    });
-    if let Some(s) = ws.slots.iter().position(|slot| slot.failed) {
-        return Err(GrapeError::Numerical(format!(
-            "eigendecomposition failed on slot {s}"
-        )));
+        if prepare_slot(slot, device, dt, needs_phi).is_err() {
+            return Err(GrapeError::Numerical(format!(
+                "eigendecomposition failed on slot {s}"
+            )));
+        }
     }
 
     // Serial chain sweeps: prefix[s] = U_{s-1}···U_0, suffix[s] = U_last···U_s.
@@ -630,11 +627,10 @@ fn fidelity_and_gradient(
     let fidelity = fabs / dim as f64;
     let f_conj = f_complex.conj();
 
-    // Per-slot gradient (parallel, disjoint slots; prefix/suffix shared
-    // read-only).
+    // Per-slot gradient.
     let prefix = &ws.prefix;
     let suffix = &ws.suffix;
-    parallel_for_mut(&mut ws.slots, config.workers, |s, slot| {
+    for (s, slot) in ws.slots.iter_mut().enumerate() {
         // W = prefix[s]·A†·suffix[s+1]; df_j = Tr(W·dU_j).
         prefix[s].matmul_into(adag, &mut slot.t1);
         slot.t1.matmul_into(&suffix[s + 1], &mut slot.t2);
@@ -691,14 +687,7 @@ fn fidelity_and_gradient(
                     tr * c64(0.0, -dt)
                 }
             };
-            slot.grad[j] = (f_conj * df).re / fabs;
-        }
-    });
-
-    // Input-order merge of the per-slot gradients into the flat buffer.
-    for (s, slot) in ws.slots.iter().enumerate() {
-        for (j, &g) in slot.grad.iter().enumerate() {
-            ws.grad[j * n_slots + s] = g;
+            ws.grad[j * n_slots + s] = (f_conj * df).re / fabs;
         }
     }
     Ok(fidelity)
@@ -892,41 +881,41 @@ mod tests {
         }
     }
 
-    /// The per-slot phases run on a worker crew; the trajectory — every
-    /// iterate, the final controls, the fidelity — must be bit-identical
-    /// at any worker count (the pipeline's report byte-equality guarantee
-    /// rests on this).
+    /// This thread's voluntary context switches so far, or `None` where
+    /// `/proc/thread-self/status` does not exist.
+    fn voluntary_ctxt_switches() -> Option<u64> {
+        let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok())
+    }
+
+    /// GRAPE computes every slot on the calling thread, whatever
+    /// `GrapeConfig::workers` says: a run that fanned its per-slot phases
+    /// out to threads would block on joining them about twice per
+    /// iteration, while pure compute blocks almost never.
     #[test]
-    fn worker_count_does_not_change_trajectory() {
-        let d = DeviceModel::transmon_line(2).unwrap();
-        let target = Matrix::identity(4);
-        let run = |workers: usize| {
-            grape(
-                &d,
-                &target,
-                24,
-                &GrapeConfig {
-                    max_iters: 30,
-                    restarts: 1,
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+    fn grape_runs_on_the_calling_thread() {
+        let Some(before) = voluntary_ctxt_switches() else {
+            eprintln!("/proc/thread-self/status not available; skipping context-switch check");
+            return;
         };
-        let r1 = run(1);
-        let r4 = run(4);
-        assert_eq!(r1.fidelity.to_bits(), r4.fidelity.to_bits());
-        assert_eq!(r1.iterations, r4.iterations);
-        for (a, b) in r1.controls.iter().zip(&r4.controls) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        for (x, y) in r1.unitary.as_slice().iter().zip(r4.unitary.as_slice()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
+        let d = DeviceModel::transmon_line(2).unwrap();
+        let config = GrapeConfig {
+            max_iters: 50,
+            restarts: 1,
+            workers: 2,
+            ..Default::default()
+        };
+        let r = grape(&d, &Gate::CZ.unitary_matrix(), 32, &config).unwrap();
+        let switches = voluntary_ctxt_switches().unwrap() - before;
+        assert!(r.iterations > 0);
+        assert!(
+            switches < 10,
+            "{switches} voluntary context switches over {} iterations",
+            r.iterations
+        );
     }
 
     /// Constrained GRAPE (straight-through estimator through the AWG
@@ -976,37 +965,6 @@ mod tests {
         for ch in &constrained.controls {
             for &a in ch {
                 assert!(a.abs() <= d.max_amplitude() + 1e-12);
-            }
-        }
-    }
-
-    /// The constrained trajectory must stay bit-identical at any worker
-    /// count — conditioning runs on the calling thread.
-    #[test]
-    fn constrained_worker_count_does_not_change_trajectory() {
-        let d = DeviceModel::transmon_line(2).unwrap();
-        let target = Matrix::identity(4);
-        let run = |workers: usize| {
-            grape(
-                &d,
-                &target,
-                24,
-                &GrapeConfig {
-                    max_iters: 30,
-                    restarts: 1,
-                    workers,
-                    hw: Some(epoc_hw::HardwareProfile::transmon_awg_8bit()),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        };
-        let r1 = run(1);
-        let r4 = run(4);
-        assert_eq!(r1.fidelity.to_bits(), r4.fidelity.to_bits());
-        for (a, b) in r1.controls.iter().zip(&r4.controls) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }

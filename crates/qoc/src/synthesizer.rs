@@ -427,7 +427,7 @@ impl HybridSynthesizer {
     }
 
     /// Like [`HybridSynthesizer::new`] with explicit duration-search
-    /// settings (e.g. a GRAPE worker count plumbed from the pipeline).
+    /// settings (e.g. a hardware profile plumbed from the pipeline).
     pub fn with_search(
         policy: KeyPolicy,
         search: DurationSearchConfig,

@@ -1,4 +1,4 @@
-//! Scoped-thread parallel map and in-place parallel for-each.
+//! Scoped-thread parallel map.
 //!
 //! Replaces `crossbeam::thread::scope` in `core::pipeline`: a fixed set
 //! of workers pulls item indices off a shared atomic counter and writes
@@ -7,8 +7,9 @@
 //! is identical at any worker count — the property the pipeline's
 //! determinism guarantee rests on.
 //!
-//! [`parallel_map`]/[`parallel_for_mut`] spawn threads per call, which is
-//! fine for coarse one-shot fan-outs.
+//! [`parallel_map`] spawns its threads per call, so it is meant for coarse
+//! one-shot fan-outs: a compile uses it for its blocks and its GRAPE jobs,
+//! never inside them.
 //!
 //! Every fan-out replicates the caller's telemetry job id (see
 //! [`crate::telemetry::TelemetryScope`]) into the worker threads, so
@@ -83,43 +84,6 @@ where
         .collect()
 }
 
-/// Applies `f` to every element of `items` in place, spreading contiguous
-/// chunks over `workers` scoped threads. `f` receives the element's index
-/// alongside the element.
-///
-/// Each element is visited exactly once with its own index, so the final
-/// contents of `items` are identical at any worker count — chunking only
-/// decides which thread does the writing. With `workers <= 1` (or a single
-/// item) everything runs on the calling thread. A panic in `f` propagates
-/// out of the scope.
-pub fn parallel_for_mut<T, F>(items: &mut [T], workers: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    let workers = workers.max(1).min(len.max(1));
-    if workers <= 1 {
-        for (i, t) in items.iter_mut().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(workers);
-    let job = crate::telemetry::current_job();
-    std::thread::scope(|scope| {
-        for (c, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let _scope = crate::telemetry::TelemetryScope::enter(job);
-                for (off, t) in chunk_items.iter_mut().enumerate() {
-                    f(c * chunk + off, t);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,45 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn for_mut_visits_every_index_once() {
-        let mut items = vec![0usize; 137];
-        parallel_for_mut(&mut items, 5, |i, slot| *slot = i * 3 + 1);
-        for (i, &v) in items.iter().enumerate() {
-            assert_eq!(v, i * 3 + 1);
-        }
-    }
-
-    #[test]
-    fn for_mut_worker_count_does_not_change_result() {
-        let mix = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(11);
-        let mut seq = vec![0u64; 64];
-        parallel_for_mut(&mut seq, 1, |i, slot| *slot = mix(i));
-        for w in [2, 3, 8, 64] {
-            let mut par = vec![0u64; 64];
-            parallel_for_mut(&mut par, w, |i, slot| *slot = mix(i));
-            assert_eq!(seq, par, "workers = {w}");
-        }
-    }
-
-    #[test]
-    fn for_mut_empty_and_tiny_inputs() {
-        let mut empty: Vec<u8> = Vec::new();
-        parallel_for_mut(&mut empty, 4, |_, _| unreachable!());
-        let mut one = vec![7u8];
-        parallel_for_mut(&mut one, 9, |i, v| *v += i as u8 + 1);
-        assert_eq!(one, vec![8]);
-    }
-
-    #[test]
     fn workers_inherit_dispatchers_job_scope() {
         use crate::telemetry::{current_job, TelemetryScope};
         let _scope = TelemetryScope::enter(42);
         let items: Vec<u8> = vec![0; 32];
         let seen = parallel_map(&items, 4, |_, _| current_job());
         assert!(seen.iter().all(|&j| j == 42), "parallel_map lost the job id");
-        let mut slots = vec![0u64; 32];
-        parallel_for_mut(&mut slots, 4, |_, s| *s = current_job());
-        assert!(slots.iter().all(|&j| j == 42), "parallel_for_mut lost the job id");
         // The id live at dispatch time wins, not the one a thread last saw.
         let _inner = TelemetryScope::enter(77);
         let nested = parallel_map(&items, 4, |_, _| current_job());
