@@ -20,12 +20,14 @@
 use epoc::baselines::PaqocCompiler;
 use epoc::{EpocCompiler, EpocConfig};
 use epoc_circuit::{generators, Gate};
-use epoc_linalg::{eigh, expm_ih, random_hermitian, random_unitary, Complex64, Matrix};
+use epoc_linalg::{
+    eigh, eigh_into, expm_ih, random_hermitian, random_unitary, Complex64, HermitianEig, Matrix,
+};
 use epoc_partition::{greedy_partition, paqoc_partition, PaqocConfig, PartitionConfig};
 use epoc_qoc::{grape, DeviceModel, GrapeConfig};
 use epoc_rt::bench::{bench, Bench, Stats};
 use epoc_rt::json::Json;
-use epoc_rt::rng::StdRng;
+use epoc_rt::rng::{Rng, StdRng};
 use epoc_synth::{synthesize, SynthConfig};
 use epoc_zx::zx_optimize;
 use std::path::{Path, PathBuf};
@@ -102,6 +104,28 @@ fn bench_linalg(stats: &mut Vec<Stats>) {
     stats.push(stage("linalg/expm_ih_16").run(|| expm_ih(&h, 0.5).unwrap()));
     let u = random_unitary(8, &mut rng);
     stats.push(stage("linalg/unitary_key_8").run(|| epoc_linalg::UnitaryKey::new(&u)));
+    // 1,000 distinct two-qubit GRAPE slot Hamiltonians, each decomposed
+    // cold: the 4×4 kernel that nearly every GRAPE slot-iteration runs.
+    let d2 = DeviceModel::transmon_line(2).unwrap();
+    let a_max = d2.max_amplitude();
+    let mut rng = StdRng::seed_from_u64(2);
+    let slots: Vec<Matrix> = (0..1000)
+        .map(|_| {
+            let amps: Vec<f64> = (0..d2.controls().len())
+                .map(|_| (rng.gen_f64() * 2.0 - 1.0) * a_max)
+                .collect();
+            d2.hamiltonian(&amps)
+        })
+        .collect();
+    let mut eig = HermitianEig {
+        values: Vec::new(),
+        vectors: Matrix::zeros(0, 0),
+    };
+    stats.push(stage("linalg/eigh_4_slots").run(|| {
+        for h in &slots {
+            eigh_into(h, &mut eig).unwrap();
+        }
+    }));
 }
 
 fn bench_zx(stats: &mut Vec<Stats>) {

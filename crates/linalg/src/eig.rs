@@ -1,13 +1,33 @@
-//! Hermitian eigendecomposition via the cyclic complex Jacobi method.
+//! Hermitian eigendecomposition via the complex Jacobi method.
 //!
 //! GRAPE needs `exp(-i·dt·H)` for Hermitian `H` at every time slot, and exact
-//! gradients are cheapest in `H`'s eigenbasis. The cyclic Jacobi method is a
+//! gradients are cheapest in `H`'s eigenbasis. The Jacobi method is a
 //! simple, numerically robust way to diagonalize a complex Hermitian matrix:
-//! repeatedly zero out the largest off-diagonal entries with 2×2 complex
-//! rotations until the matrix is diagonal to machine precision.
+//! repeatedly zero out off-diagonal entries with 2×2 complex rotations until
+//! the matrix is diagonal to machine precision.
+//!
+//! Two kernels share one rotation (`Rotation::zeroing`) and one stop rule:
+//!
+//! * **4×4**, a two-qubit GRAPE slot and nearly every decomposition a
+//!   compile runs. The working matrix and the basis live on the stack, and
+//!   each sweep visits the six pairs in three round-robin (Brent–Luk)
+//!   rounds: {(0,1),(2,3)}, {(0,2),(1,3)}, {(0,3),(1,2)}. A round's two
+//!   pairs are disjoint, so both rotations are computed from the same matrix
+//!   before either is applied, and their square-root chains overlap.
+//! * **Every other size** runs the cyclic row-by-row order on thread-local
+//!   scratch.
+//!
+//! [`eigh_warm_into`] starts the 4×4 kernel from the basis an earlier call
+//! left in its output (`A = V†·H·V`) instead of from `V = I`. GRAPE
+//! decomposes every slot once per optimizer step, and one step moves a
+//! slot's Hamiltonian only slightly, so `A` starts nearly diagonal and
+//! fewer sweeps run. A warm result meets the same contract as a cold one,
+//! but its rounding depends on the starting basis: it is not bit-identical
+//! to a cold call on the same matrix.
 
 use crate::complex::{c64, Complex64};
 use crate::matrix::Matrix;
+use crate::simd;
 use std::cell::RefCell;
 
 /// Eigendecomposition `H = V · diag(λ) · V†` of a Hermitian matrix.
@@ -101,9 +121,9 @@ pub fn eigh(h: &Matrix) -> Result<HermitianEig, EigError> {
 }
 
 thread_local! {
-    /// Working matrix, eigenvector accumulator, and sort scratch for
-    /// [`eigh_into`]. Thread-local so repeated decompositions (one per
-    /// GRAPE slot per iteration) are allocation-free after warm-up.
+    /// Working matrix, eigenvector accumulator, and sort scratch for the
+    /// cyclic kernel. Thread-local so repeated decompositions are
+    /// allocation-free after warm-up. (The 4×4 kernel needs none of it.)
     static EIG_SCRATCH: RefCell<EigScratch> = RefCell::new(EigScratch::default());
 }
 
@@ -111,22 +131,75 @@ thread_local! {
 struct EigScratch {
     a: Vec<Complex64>,
     v: Vec<Complex64>,
-    pairs: Vec<(f64, usize)>,
+    order: Vec<(f64, usize)>,
 }
 
 /// Computes the eigendecomposition of a complex Hermitian matrix into an
 /// existing [`HermitianEig`], reusing its allocations.
 ///
-/// This is the hot-loop form of [`eigh`]: the working matrix and rotation
-/// accumulator live in thread-local scratch, so a decomposition per GRAPE
-/// time slot costs no allocations after warm-up. The result is fully
-/// deterministic for a given input.
+/// This is the hot-loop form of [`eigh`]: a 4×4 matrix runs the
+/// stack-allocated round-robin kernel, any other size the cyclic kernel on
+/// thread-local scratch, so a decomposition costs no allocations after
+/// warm-up. The result is a pure function of `h`: whatever `out` held
+/// before is overwritten, never read.
 ///
 /// # Errors
 ///
-/// Same contract as [`eigh`]. On error, `out` is left in an unspecified
-/// (but valid) state.
+/// Same contract as [`eigh`]. A failed call leaves `out` empty.
 pub fn eigh_into(h: &Matrix, out: &mut HermitianEig) -> Result<(), EigError> {
+    decompose(h, out, false)
+}
+
+/// [`eigh_into`], warm-started from the basis already in `out`.
+///
+/// When `h` is 4×4 and `out.vectors` holds the 4×4 basis of an earlier
+/// successful call, the sweeps start from `A = V†·H·V` and accumulate
+/// their rotations into that `V`, instead of starting from `A = H` and
+/// `V = I`. If `h` is close to the matrix that basis diagonalized (one
+/// GRAPE slot, one optimizer step later), `A` is nearly diagonal already
+/// and fewer sweeps run. For any other size, or when `out` is empty, this
+/// is exactly [`eigh_into`].
+///
+/// The result meets [`eigh`]'s contract (ascending eigenvalues, unitary
+/// eigenvector columns, `V·Λ·V† = H` to the stop rule's tolerance), but it
+/// is not bit-identical to a cold call: its rounding depends on the
+/// starting basis. A chain of warm calls is deterministic for a given
+/// sequence of inputs.
+///
+/// `out.vectors` must be unitary, as every successful call leaves it. A
+/// non-unitary basis violates this precondition, and the result is then
+/// not a decomposition of `h`.
+///
+/// # Errors
+///
+/// Same contract as [`eigh`]. A failed call leaves `out` empty, so the
+/// next warm call starts cold.
+pub fn eigh_warm_into(h: &Matrix, out: &mut HermitianEig) -> Result<(), EigError> {
+    decompose(h, out, true)
+}
+
+/// Both entries: checks `h`, dispatches on its size (warm-starting the
+/// 4×4 kernel when asked and `out` holds a 4×4 basis), and empties `out`
+/// on failure.
+fn decompose(h: &Matrix, out: &mut HermitianEig, warm: bool) -> Result<(), EigError> {
+    let result = hermitian_scale(h).and_then(|scale| {
+        if h.rows() == 4 {
+            let warm = warm && out.vectors.rows() == 4 && out.vectors.cols() == 4;
+            eigh4(h, scale, warm, out)
+        } else {
+            eigh_cyclic(h, scale, out)
+        }
+    });
+    if result.is_err() {
+        out.values.clear();
+        out.vectors = Matrix::zeros(0, 0);
+    }
+    result
+}
+
+/// Checks that `h` is square and Hermitian within `HERMITIAN_TOL·scale`,
+/// and returns `scale = max(max|h_ij|, 1)`, the unit of every tolerance.
+fn hermitian_scale(h: &Matrix) -> Result<f64, EigError> {
     if !h.is_square() {
         return Err(EigError::NotSquare);
     }
@@ -148,70 +221,139 @@ pub fn eigh_into(h: &Matrix, out: &mut HermitianEig) -> Result<(), EigError> {
             }
         }
     }
+    Ok(scale)
+}
+
+/// Forces exact Hermitian symmetry on the row-major `n×n` matrix `a` (each
+/// mirrored pair replaced by its mean, the diagonal made real), so rounding
+/// never accumulates skew.
+fn symmetrize(a: &mut [Complex64], n: usize) {
+    for i in 0..n {
+        for j in 0..i {
+            let avg = (a[i * n + j] + a[j * n + i].conj()).scale(0.5);
+            a[i * n + j] = avg;
+            a[j * n + i] = avg.conj();
+        }
+        a[i * n + i] = c64(a[i * n + i].re, 0.0);
+    }
+}
+
+/// Sets `v` to the `n×n` identity.
+fn set_identity(v: &mut [Complex64], n: usize) {
+    v.fill(Complex64::ZERO);
+    for i in 0..n {
+        v[i * n + i] = Complex64::ONE;
+    }
+}
+
+/// The 4×4 kernel: stack arrays, round-robin rounds, optional warm start
+/// from `out.vectors`.
+fn eigh4(h: &Matrix, scale: f64, warm: bool, out: &mut HermitianEig) -> Result<(), EigError> {
+    let mut a = [Complex64::ZERO; 16];
+    a.copy_from_slice(h.as_slice());
+    symmetrize(&mut a, 4);
+    let mut v = [Complex64::ZERO; 16];
+    if warm {
+        // A = V†·H·V: H in the previous call's eigenbasis.
+        v.copy_from_slice(out.vectors.as_slice());
+        let mut vdag = [Complex64::ZERO; 16];
+        for (i, row) in vdag.chunks_exact_mut(4).enumerate() {
+            for (j, z) in row.iter_mut().enumerate() {
+                *z = v[j * 4 + i].conj();
+            }
+        }
+        let mut t = [Complex64::ZERO; 16];
+        simd::mm4(&vdag, &a, &mut t);
+        simd::mm4(&t, &v, &mut a);
+        symmetrize(&mut a, 4);
+    } else {
+        set_identity(&mut v, 4);
+    }
+    let (conv2, skip2) = thresholds(4, scale);
+    for _sweep in 0..MAX_SWEEPS {
+        if off_diag_sqr(&a, 4) <= conv2 {
+            break;
+        }
+        round_4::<0, 1, 2, 3>(&mut a, &mut v, skip2);
+        round_4::<0, 2, 1, 3>(&mut a, &mut v, skip2);
+        round_4::<0, 3, 1, 2>(&mut a, &mut v, skip2);
+    }
+    converged(&a, 4, scale)?;
+    emit(&a, &v, 4, &mut [(0.0, 0); 4], out);
+    Ok(())
+}
+
+/// One round-robin round of the 4×4 kernel, on the disjoint pairs
+/// `(P, Q)` and `(R, T)`. Both rotations are computed before either is
+/// applied: neither reads an entry the other writes, so the two
+/// computations overlap. (Const pairs let the compiler unroll every loop
+/// and drop every bounds check.)
+#[inline(always)]
+fn round_4<const P: usize, const Q: usize, const R: usize, const T: usize>(
+    a: &mut [Complex64; 16],
+    v: &mut [Complex64; 16],
+    skip2: f64,
+) {
+    let first = rotation_for(a, 4, P, Q, skip2);
+    let second = rotation_for(a, 4, R, T, skip2);
+    if let Some(rotation) = first {
+        rotate(a, v, 4, P, Q, rotation);
+    }
+    if let Some(rotation) = second {
+        rotate(a, v, 4, R, T, rotation);
+    }
+}
+
+/// The cyclic kernel for every size but 4, on thread-local scratch.
+fn eigh_cyclic(h: &Matrix, scale: f64, out: &mut HermitianEig) -> Result<(), EigError> {
+    let n = h.rows();
     EIG_SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
         let a = &mut scratch.a;
         a.clear();
-        a.extend_from_slice(hd);
-        // Force exact Hermitian symmetry so rounding never accumulates skew.
-        for i in 0..n {
-            for j in 0..i {
-                let avg = (a[i * n + j] + a[j * n + i].conj()).scale(0.5);
-                a[i * n + j] = avg;
-                a[j * n + i] = avg.conj();
-            }
-            a[i * n + i] = c64(a[i * n + i].re, 0.0);
-        }
+        a.extend_from_slice(h.as_slice());
+        symmetrize(a, n);
         let v = &mut scratch.v;
-        v.clear();
         v.resize(n * n, Complex64::ZERO);
-        for i in 0..n {
-            v[i * n + i] = Complex64::ONE;
-        }
-
-        // All thresholds compare squared magnitudes — same decisions as the
-        // historical |·| comparisons, without per-entry square roots.
-        let conv2 = (CONVERGE_TOL * scale) * (CONVERGE_TOL * scale);
-        // Per-entry rotation skip: if every off-diagonal entry is below
-        // conv2 / (n·(n−1)), the total off-norm is already below conv2, so
-        // rotating such entries cannot be needed for convergence. (The
-        // sweep loop still only exits on the full-norm check.)
-        let skip2 = conv2 / ((n * n.saturating_sub(1)).max(1) as f64);
+        set_identity(v, n);
+        let (conv2, skip2) = thresholds(n, scale);
         for _sweep in 0..MAX_SWEEPS {
             if off_diag_sqr(a, n) <= conv2 {
                 break;
             }
             for p in 0..n {
                 for q in (p + 1)..n {
-                    if a[p * n + q].norm_sqr() <= skip2 {
-                        continue;
+                    if let Some(rotation) = rotation_for(a, n, p, q, skip2) {
+                        rotate(a, v, n, p, q, rotation);
                     }
-                    jacobi_rotate(a, v, n, p, q);
                 }
             }
         }
-        if off_diag_sqr(a, n) > (1e-8 * scale) * (1e-8 * scale) {
-            return Err(EigError::NoConvergence);
-        }
-
-        let pairs = &mut scratch.pairs;
-        pairs.clear();
-        pairs.extend((0..n).map(|i| (a[i * n + i].re, i)));
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite eigenvalues"));
-        out.values.clear();
-        out.values.extend(pairs.iter().map(|&(l, _)| l));
-        if out.vectors.rows() != n || out.vectors.cols() != n {
-            out.vectors = Matrix::zeros(n, n);
-        }
-        let od = out.vectors.as_mut_slice();
-        for i in 0..n {
-            let vrow = &v[i * n..(i + 1) * n];
-            for (dst, &(_, src)) in od[i * n..(i + 1) * n].iter_mut().zip(pairs.iter()) {
-                *dst = vrow[src];
-            }
-        }
+        converged(a, n, scale)?;
+        scratch.order.resize(n, (0.0, 0));
+        emit(a, v, n, &mut scratch.order, out);
         Ok(())
     })
+}
+
+/// The stop rule as squared magnitudes (the same decisions as comparing
+/// |·|, without per-entry square roots): sweeps stop once the off-diagonal
+/// norm² is at most `conv2 = (1e-13·scale)²`, and a rotation is skipped
+/// when its entry's |a_pq|² is at most `conv2 / (n·(n−1))`. If every
+/// off-diagonal entry is below that, the off-norm is already below
+/// `conv2`, so no such rotation is needed to converge. (The sweep loop
+/// still exits only on the full-norm check.)
+fn thresholds(n: usize, scale: f64) -> (f64, f64) {
+    let conv2 = (CONVERGE_TOL * scale) * (CONVERGE_TOL * scale);
+    (conv2, conv2 / ((n * n.saturating_sub(1)).max(1) as f64))
+}
+
+/// `Err(NoConvergence)` unless the off-diagonal norm is within `1e-8·scale`.
+fn converged(a: &[Complex64], n: usize, scale: f64) -> Result<(), EigError> {
+    if off_diag_sqr(a, n) > (1e-8 * scale) * (1e-8 * scale) {
+        return Err(EigError::NoConvergence);
+    }
+    Ok(())
 }
 
 fn off_diag_sqr(a: &[Complex64], n: usize) -> f64 {
@@ -226,37 +368,95 @@ fn off_diag_sqr(a: &[Complex64], n: usize) -> f64 {
     s
 }
 
-/// One complex Jacobi rotation zeroing `a[p·n+q]`, accumulating into `v`.
-/// Operates on flat row-major slices; requires `p < q`.
-fn jacobi_rotate(a: &mut [Complex64], v: &mut [Complex64], n: usize, p: usize, q: usize) {
-    let app = a[p * n + p].re;
-    let aqq = a[q * n + q].re;
-    let apq = a[p * n + q];
-    let abs2 = apq.norm_sqr();
-    if abs2 == 0.0 {
-        return;
+/// Writes the diagonalized `a` and its basis `v` into `out`: eigenvalues
+/// ascending (a stable sort, so equal values keep their index order) and
+/// the matching columns of `v`. `order` is sort scratch of length `n`.
+fn emit(
+    a: &[Complex64],
+    v: &[Complex64],
+    n: usize,
+    order: &mut [(f64, usize)],
+    out: &mut HermitianEig,
+) {
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = (a[i * n + i].re, i);
     }
-    let abs_apq = abs2.sqrt();
-    // Phase that makes the off-diagonal real: apq = |apq|·e^{iφ}.
-    let phase = c64(apq.re / abs_apq, apq.im / abs_apq);
-    // Real Jacobi angle for the symmetrized 2×2 block.
-    let tau = (aqq - app) / (2.0 * abs_apq);
-    let t = if tau >= 0.0 {
-        1.0 / (tau + (1.0 + tau * tau).sqrt())
-    } else {
-        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-    };
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    let s = t * c;
-    // Complex rotation: column p gets c, column q gets s·phase factors.
-    let s_ph = phase.scale(s);
-    let s_ph_c = s_ph.conj();
-    // Update A = G† A G where G affects columns/rows p and q.
+    order.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite eigenvalues"));
+    out.values.clear();
+    out.values.extend(order.iter().map(|&(l, _)| l));
+    if out.vectors.rows() != n || out.vectors.cols() != n {
+        out.vectors = Matrix::zeros(n, n);
+    }
+    let od = out.vectors.as_mut_slice();
+    for (dst, vrow) in od.chunks_exact_mut(n).zip(v.chunks_exact(n)) {
+        for (d, &(_, src)) in dst.iter_mut().zip(order.iter()) {
+            *d = vrow[src];
+        }
+    }
+}
+
+/// A complex Jacobi rotation `G` on a pair `(p, q)`: `G[p][p] = G[q][q] =
+/// c`, `G[p][q] = s` and `G[q][p] = −s̄`.
+#[derive(Clone, Copy)]
+struct Rotation {
+    c: f64,
+    s: Complex64,
+}
+
+impl Rotation {
+    /// The rotation whose `G†·A·G` zeroes `apq` in the Hermitian 2×2 block
+    /// `[[app, apq], [conj(apq), aqq]]`. Requires `apq ≠ 0`.
+    ///
+    /// With `d = aqq − app`: `r = √(d² + 4|apq|²)`, `den = |d| + r`,
+    /// `w = √(den² + 4|apq|²)`, `c = den/w` and `s = ±2·apq/w`, with `+`
+    /// when `d ≥ 0`. This is the classic rotation `t = sgn(τ)/(|τ| +
+    /// √(1+τ²))`, `τ = d/(2|apq|)`, `c = 1/√(1+t²)`, `s = t·c·apq/|apq|`,
+    /// rewritten with `t = ±2|apq|/den` so that it takes two square roots
+    /// and one division.
+    #[inline]
+    fn zeroing(app: f64, aqq: f64, apq: Complex64) -> Self {
+        let d = aqq - app;
+        let g4 = 4.0 * apq.norm_sqr();
+        let den = d.abs() + (d * d + g4).sqrt();
+        let inv_w = 1.0 / (den * den + g4).sqrt();
+        let s = if d >= 0.0 { 2.0 * inv_w } else { -2.0 * inv_w };
+        Self {
+            c: den * inv_w,
+            s: apq.scale(s),
+        }
+    }
+}
+
+/// The rotation zeroing `a[p][q]`, or `None` when the per-entry skip rule
+/// leaves that entry alone.
+#[inline(always)]
+fn rotation_for(a: &[Complex64], n: usize, p: usize, q: usize, skip2: f64) -> Option<Rotation> {
+    let apq = a[p * n + q];
+    if apq.norm_sqr() <= skip2 {
+        return None;
+    }
+    Some(Rotation::zeroing(a[p * n + p].re, a[q * n + q].re, apq))
+}
+
+/// Applies `rotation` on `(p, q)`, `p < q`, to the row-major `n×n` working
+/// matrix (`A ← G†·A·G`, then the rotated pair's entries cleaned) and to
+/// the basis (`V ← V·G`).
+#[inline(always)]
+fn rotate(
+    a: &mut [Complex64],
+    v: &mut [Complex64],
+    n: usize,
+    p: usize,
+    q: usize,
+    rotation: Rotation,
+) {
+    let Rotation { c, s } = rotation;
+    let s_c = s.conj();
     for row in a.chunks_exact_mut(n) {
         let aip = row[p];
         let aiq = row[q];
-        row[p] = aip.scale(c) - aiq * s_ph_c;
-        row[q] = aip * s_ph + aiq.scale(c);
+        row[p] = aip.scale(c) - aiq * s_c;
+        row[q] = aip * s + aiq.scale(c);
     }
     {
         // Rows p and q are contiguous; p < q lets split_at_mut alias-free.
@@ -266,8 +466,8 @@ fn jacobi_rotate(a: &mut [Complex64], v: &mut [Complex64], n: usize, p: usize, q
         for (x, y) in rp.iter_mut().zip(rq.iter_mut()) {
             let apj = *x;
             let aqj = *y;
-            *x = apj.scale(c) - aqj * s_ph;
-            *y = apj * s_ph_c + aqj.scale(c);
+            *x = apj.scale(c) - aqj * s;
+            *y = apj * s_c + aqj.scale(c);
         }
     }
     // Clean the rotated entries.
@@ -278,8 +478,8 @@ fn jacobi_rotate(a: &mut [Complex64], v: &mut [Complex64], n: usize, p: usize, q
     for row in v.chunks_exact_mut(n) {
         let vip = row[p];
         let viq = row[q];
-        row[p] = vip.scale(c) - viq * s_ph_c;
-        row[q] = vip * s_ph + viq.scale(c);
+        row[p] = vip.scale(c) - viq * s_c;
+        row[q] = vip * s + viq.scale(c);
     }
 }
 

@@ -36,7 +36,7 @@ mod simd;
 mod unitary;
 
 pub use complex::{c64, Complex64};
-pub use eig::{eigh, eigh_into, EigError, HermitianEig};
+pub use eig::{eigh, eigh_into, eigh_warm_into, EigError, HermitianEig};
 pub use simd::{force_simd, mix_adjacent, mix_pair, mixed_pair_trace, simd_active};
 pub use expm::{expm, expm_hermitian_propagator, expm_ih, inverse, solve};
 pub use matrix::Matrix;

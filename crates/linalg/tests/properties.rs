@@ -4,8 +4,9 @@
 //! 64-case counts.
 
 use epoc_linalg::{
-    c64, canonicalize_phase, eigh, expm, expm_ih, phase_invariant_distance, random_hermitian,
-    random_unitary, Complex64, Matrix, UnitaryKey,
+    c64, canonicalize_phase, eigh, eigh_into, eigh_warm_into, expm, expm_ih,
+    phase_invariant_distance, random_hermitian, random_unitary, Complex64, EigError, HermitianEig,
+    Matrix, UnitaryKey,
 };
 use epoc_rt::check::{property, Gen};
 use epoc_rt::rng::StdRng;
@@ -129,6 +130,184 @@ fn eigh_reconstructs_random_hermitian() {
         assert!(e.reconstruct().approx_eq(&h, 1e-8), "seed={seed}");
         assert!(e.vectors.is_unitary(1e-8), "seed={seed}");
     });
+}
+
+/// `max_ij |x_ij − y_ij|`.
+fn max_abs_diff(x: &Matrix, y: &Matrix) -> f64 {
+    x.as_slice()
+        .iter()
+        .zip(y.as_slice())
+        .map(|(a, b)| (*a - *b).abs())
+        .fold(0.0, f64::max)
+}
+
+/// The eigensolver's own tolerance unit: `max(max|h_ij|, 1)`.
+fn eig_scale(h: &Matrix) -> f64 {
+    h.max_norm().max(1.0)
+}
+
+/// How far `e` is from being an eigendecomposition of `h`:
+/// `(‖V†V − I‖, ‖V·Λ·V† − H‖)`, both as the largest entry.
+fn decomposition_errors(h: &Matrix, e: &HermitianEig) -> (f64, f64) {
+    let n = h.rows();
+    let gram = e.vectors.dagger().matmul(&e.vectors);
+    (
+        max_abs_diff(&gram, &Matrix::identity(n)),
+        max_abs_diff(&e.reconstruct(), h),
+    )
+}
+
+/// Asserts `e` decomposes `h` to `1e-12·scale` with ascending eigenvalues.
+fn assert_decomposes(h: &Matrix, e: &HermitianEig, what: &str) {
+    let scale = eig_scale(h);
+    assert!(
+        e.values.windows(2).all(|w| w[0] <= w[1]),
+        "{what}: eigenvalues not ascending: {:?}",
+        e.values
+    );
+    let (unitarity, reconstruction) = decomposition_errors(h, e);
+    assert!(unitarity <= 1e-12, "{what}: ‖V†V − I‖ = {unitarity:e}");
+    assert!(
+        reconstruction <= 1e-12 * scale,
+        "{what}: ‖V·Λ·V† − H‖ = {reconstruction:e} at scale {scale:e}"
+    );
+}
+
+/// The Pauli matrices X, Y, Z.
+fn paulis() -> (Matrix, Matrix, Matrix) {
+    let x = Matrix::from_rows(&[
+        &[c64(0.0, 0.0), c64(1.0, 0.0)],
+        &[c64(1.0, 0.0), c64(0.0, 0.0)],
+    ]);
+    let y = Matrix::from_rows(&[
+        &[c64(0.0, 0.0), c64(0.0, -1.0)],
+        &[c64(0.0, 1.0), c64(0.0, 0.0)],
+    ]);
+    let z = Matrix::from_diag(&[c64(1.0, 0.0), c64(-1.0, 0.0)]);
+    (x, y, z)
+}
+
+/// A 4×4 input for the kernel checks: `family` picks a random Hermitian
+/// matrix at `10^exp`, a degenerate spectrum (0, I, Z⊗Z, X⊗X + Y⊗Y) or a
+/// random diagonal.
+fn input_4x4(family: usize, exp: f64, rng: &mut StdRng) -> Matrix {
+    let (x, y, z) = paulis();
+    match family {
+        0 => random_hermitian(4, rng).scale_re(10f64.powf(exp)),
+        1 => Matrix::zeros(4, 4),
+        2 => Matrix::identity(4),
+        3 => z.kron(&z),
+        4 => &x.kron(&x) + &y.kron(&y),
+        _ => {
+            let d = random_hermitian(4, rng);
+            Matrix::from_diag(&(0..4).map(|i| d[(i, i)]).collect::<Vec<_>>())
+        }
+    }
+}
+
+/// The 4×4 kernel, cold and warm-started from the exact basis, from a
+/// perturbed matrix's basis and from a random unitary: every result is a
+/// decomposition, and the warm eigenvalues equal the cold ones.
+#[test]
+fn eigh_4x4_cold_and_warm_agree() {
+    property("eigh_4x4_cold_and_warm_agree").cases(96).run(|g| {
+        let family = g.usize_in(0, 5);
+        let exp = g.f64_in(-6.0, 6.0);
+        let seed = g.u64_in(0, 10_000);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let h = input_4x4(family, exp, &mut rng);
+        let scale = eig_scale(&h);
+        let cold = eigh(&h).unwrap();
+        assert_decomposes(&h, &cold, &format!("cold family={family} seed={seed}"));
+
+        let perturbed = &h + &random_hermitian(4, &mut rng).scale_re(1e-3 * h.max_norm());
+        let starts = [
+            ("exact basis", cold.clone()),
+            ("perturbed basis", eigh(&perturbed).unwrap()),
+            (
+                "random unitary",
+                HermitianEig {
+                    values: vec![0.0; 4],
+                    vectors: random_unitary(4, &mut rng),
+                },
+            ),
+        ];
+        for (start, mut warm) in starts {
+            let what = format!("warm from {start}, family={family} seed={seed}");
+            eigh_warm_into(&h, &mut warm).unwrap();
+            assert_decomposes(&h, &warm, &what);
+            for (w, c) in warm.values.iter().zip(&cold.values) {
+                assert!((w - c).abs() <= 1e-12 * scale, "{what}: eigenvalue {w} vs cold {c}");
+            }
+        }
+    });
+}
+
+/// 10,000 warm calls chained along a slowly varying two-qubit slot
+/// Hamiltonian (detuning, exchange coupling and four drive channels, as a
+/// GRAPE slot sees from one optimizer step to the next): rounding must not
+/// accumulate in the carried basis.
+#[test]
+fn eigh_warm_chain_does_not_drift() {
+    let (x, y, z) = paulis();
+    let id = Matrix::identity(2);
+    let tau = std::f64::consts::TAU;
+    let drift = &id.kron(&z).scale_re(tau * 0.01 / 2.0)
+        + &(&x.kron(&x) + &y.kron(&y)).scale_re(tau * 0.002 / 2.0);
+    let channels = [x.kron(&id), y.kron(&id), id.kron(&x), id.kron(&y)];
+    let a_max = tau * 0.02;
+    let mut warm = HermitianEig {
+        values: Vec::new(),
+        vectors: Matrix::zeros(0, 0),
+    };
+    let (mut unitarity, mut reconstruction, mut gap) = (0.0f64, 0.0f64, 0.0f64);
+    for k in 0..10_000 {
+        let mut h = drift.clone();
+        for (j, c) in channels.iter().enumerate() {
+            // Periods of 40–70 calls: steps of up to ~0.02 rad/ns, about
+            // one Adam step at GRAPE's default learning rate.
+            let u = a_max * (tau * k as f64 / (40.0 + 10.0 * j as f64) + j as f64).sin();
+            h += &c.scale_re(0.5 * u);
+        }
+        eigh_warm_into(&h, &mut warm).unwrap();
+        let (du, dr) = decomposition_errors(&h, &warm);
+        unitarity = unitarity.max(du);
+        reconstruction = reconstruction.max(dr);
+        let cold = eigh(&h).unwrap();
+        for (w, c) in warm.values.iter().zip(&cold.values) {
+            gap = gap.max((w - c).abs());
+        }
+    }
+    assert!(
+        unitarity <= 1e-12 && reconstruction <= 1e-12 && gap <= 1e-12,
+        "after 10,000 warm calls: ‖V†V − I‖ {unitarity:e}, ‖V·Λ·V† − H‖ {reconstruction:e}, \
+         eigenvalue gap to cold {gap:e}"
+    );
+}
+
+/// A non-Hermitian input fails typed on both entries, at the 4×4 kernel's
+/// size and another, and leaves `out` empty, so the next warm call starts
+/// cold.
+#[test]
+fn eigh_rejects_non_hermitian_on_both_entries() {
+    let mut rng = StdRng::seed_from_u64(3);
+    for n in [3, 4] {
+        let h = random_hermitian(n, &mut rng);
+        let mut bad = h.clone();
+        bad[(0, n - 1)] += c64(0.5, 0.0);
+        let mut out = eigh(&h).unwrap();
+        assert_eq!(eigh_into(&bad, &mut out), Err(EigError::NotHermitian), "n={n}");
+        assert!(out.values.is_empty() && out.vectors.rows() == 0, "n={n}");
+        let mut out = eigh(&h).unwrap();
+        assert_eq!(eigh_warm_into(&bad, &mut out), Err(EigError::NotHermitian), "n={n}");
+        assert!(out.values.is_empty() && out.vectors.rows() == 0, "n={n}");
+        // After the failure the warm entry starts cold: bit-identical to
+        // `eigh_into`.
+        eigh_warm_into(&h, &mut out).unwrap();
+        let cold = eigh(&h).unwrap();
+        assert_eq!(out.values, cold.values, "n={n}");
+        assert_eq!(out.vectors, cold.vectors, "n={n}");
+    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! gradient mode is kept for the ablation study.
 
 use crate::device::DeviceModel;
-use epoc_linalg::{c64, eigh_into, Complex64, HermitianEig, Matrix};
+use epoc_linalg::{c64, eigh_warm_into, Complex64, HermitianEig, Matrix};
 use epoc_rt::faults;
 use epoc_rt::rng::Rng;
 
@@ -93,16 +93,6 @@ pub struct GrapeConfig {
     /// because `perfbench/src/redrive.rs:44` assigns it; it is deleted
     /// together with that line.
     pub workers: usize,
-    /// Reuse each slot's eigensystem (and derived propagator / Fréchet
-    /// phase matrix) across iterations while that slot's control
-    /// amplitudes are **bit-identical** to the previous evaluation, and
-    /// hoist the drift-Hamiltonian eigendecomposition out of the
-    /// iteration loop for all-zero slots. Because the cache key is exact
-    /// (`f64::to_bits` equality) a hit replays exactly what recomputation
-    /// would produce, so the optimization trajectory is bit-identical with
-    /// the cache on or off. Default `true`; set `false` to force the
-    /// always-recompute path.
-    pub eig_cache: bool,
     /// Control-electronics model to optimize *under* (default `None` =
     /// ideal electronics). When set (and not an identity profile), each
     /// iteration evaluates the fidelity on the **conditioned** controls
@@ -126,7 +116,6 @@ impl Default for GrapeConfig {
             seed: 0x6A7E,
             restarts: 2,
             workers: 1,
-            eig_cache: true,
             hw: None,
         }
     }
@@ -142,8 +131,10 @@ struct SlotScratch {
     amps: Vec<f64>,
     /// `H(u_s)`, rebuilt in place on a cache miss.
     h: Matrix,
-    /// Eigensystem of `h`. The eigensolver reuses these buffers in place;
-    /// all downstream products reuse the buffers below.
+    /// Eigensystem of `h`. On a cache miss the eigensolver warm-starts
+    /// from the basis held here (the slot's previous one, or the drift
+    /// bundle's after an adoption) and overwrites it in place; all
+    /// downstream products reuse the buffers below.
     eig: HermitianEig,
     /// `V†` — hoisted once per slot and shared by the propagator build and
     /// the gradient back-conjugation.
@@ -155,8 +146,8 @@ struct SlotScratch {
     /// General matrix scratch.
     t1: Matrix,
     t2: Matrix,
-    /// Trace kernel `K = V†·(prefix_s·A†·suffix_{s+1})·V` (exact mode) or
-    /// `Y = U_s·prefix_s·A†·suffix_{s+1}` (first-order mode).
+    /// Trace kernel `K = V†·W·V` (exact mode) or `Y = U_s·W` (first-order
+    /// mode), where `W = prefix_s·suffix_{s+1} = U_{s-1}···U_0·A†·U_last···U_{s+1}`.
     kern: Matrix,
     /// Exact-gradient Fréchet phase matrix, stored **transposed**
     /// (`phi[(b,a)] = φ(a,b)`) so the phase-2 Hadamard product reads it in
@@ -194,9 +185,8 @@ impl SlotScratch {
     }
 
     /// Adopts another slot's computed bundle (used to seed all-zero slots
-    /// from the hoisted drift eigendecomposition). The source bundle was
-    /// produced by [`prepare_slot`] on identical amplitudes, so this copy
-    /// is bit-identical to recomputing.
+    /// from the hoisted drift eigendecomposition, which [`prepare_slot`]
+    /// computed on the same all-zero amplitudes).
     fn copy_bundle_from(&mut self, src: &SlotScratch) {
         self.h.copy_from(&src.h);
         self.eig.values.clone_from(&src.eig.values);
@@ -214,17 +204,25 @@ impl SlotScratch {
 ///
 /// One workspace serves any number of iterations and restarts for a fixed
 /// `(device, n_slots)` shape; after warm-up the loop performs no heap
-/// allocation apart from the eigensolver's internal `O(dim²)` scratch.
+/// allocation (the 4×4 eigensolver works on the stack, larger ones in
+/// thread-local scratch that is reused from the first iteration on).
+///
+/// A workspace carries each slot's eigenbasis from one evaluation to the
+/// next, and the eigensolver warm-starts from it: an evaluation's result
+/// depends, at rounding level, on the control sets the workspace evaluated
+/// before. A fresh workspace per [`grape`] run keeps every run a pure
+/// function of its inputs.
 pub struct GrapeWorkspace {
     slots: Vec<SlotScratch>,
     /// Drift-Hamiltonian bundle, computed once per [`grape`] run (outside
     /// the iteration loop) and adopted by any slot whose amplitudes are
     /// all exactly `+0.0`.
     drift: Option<Box<SlotScratch>>,
-    /// `prefix[s] = U_{s-1}···U_0` (`prefix[0] = I`, never overwritten).
+    /// `prefix[s] = U_{s-1}···U_0` for `s < n_slots` (`prefix[0] = I`,
+    /// never overwritten).
     prefix: Vec<Matrix>,
-    /// `suffix[s] = U_{last}···U_s` (`suffix[n_slots] = I`, never
-    /// overwritten).
+    /// `suffix[s] = A†·U_{last}···U_s`, with `suffix[n_slots] = A†` set by
+    /// every evaluation, so `suffix[0]` is `A†·U_total`.
     suffix: Vec<Matrix>,
     /// Flat gradient, channel-major: `grad[j * n_slots + s]`.
     grad: Vec<f64>,
@@ -237,15 +235,15 @@ impl GrapeWorkspace {
         let n_ctrl = device.controls().len();
         let zero = || Matrix::zeros(dim, dim);
         let slots = (0..n_slots).map(|_| SlotScratch::new(dim, n_ctrl)).collect();
-        let mut prefix = vec![zero(); n_slots + 1];
-        prefix[0] = Matrix::identity(dim);
-        let mut suffix = vec![zero(); n_slots + 1];
-        suffix[n_slots] = Matrix::identity(dim);
+        let mut prefix = vec![zero(); n_slots];
+        if let Some(first) = prefix.first_mut() {
+            *first = Matrix::identity(dim);
+        }
         Self {
             slots,
             drift: None,
             prefix,
-            suffix,
+            suffix: vec![zero(); n_slots + 1],
             grad: vec![0.0; n_ctrl * n_slots],
         }
     }
@@ -361,15 +359,11 @@ pub fn grape_with_cancel(
     // Hoist the drift-Hamiltonian eigendecomposition out of the iteration
     // loop: it is computed once here, and every slot whose controls are
     // all exactly zero adopts the bundle instead of rediagonalizing.
-    if config.eig_cache {
-        let mut drift = SlotScratch::new(device.dim(), n_ctrl);
-        for a in drift.amps.iter_mut() {
-            *a = 0.0;
-        }
-        let needs_phi = config.gradient == GradientMode::Exact;
-        if prepare_slot(&mut drift, device, dt, needs_phi).is_ok() {
-            ws.drift = Some(Box::new(drift));
-        }
+    let mut drift = SlotScratch::new(device.dim(), n_ctrl);
+    drift.amps.fill(0.0);
+    let needs_phi = config.gradient == GradientMode::Exact;
+    if prepare_slot(&mut drift, device, dt, needs_phi).is_ok() {
+        ws.drift = Some(Box::new(drift));
     }
     let adag = target.dagger();
 
@@ -490,9 +484,10 @@ pub fn propagate(device: &DeviceModel, controls: &[Vec<f64>]) -> Result<Matrix, 
 }
 
 /// Computes a slot's eigensystem bundle from `slot.amps`: `H(u)` → its
-/// eigensystem → `V†` → the propagator phases and `U_s = V·diag·V†` — and,
-/// when `needs_phi`, the exact-gradient Fréchet phase matrix `φ`. Marks the
-/// bundle cache-coherent on success.
+/// eigensystem (warm-started from the basis the slot already holds) → `V†`
+/// → the propagator phases and `U_s = V·diag·V†` — and, when `needs_phi`,
+/// the exact-gradient Fréchet phase matrix `φ`. Marks the bundle
+/// cache-coherent on success.
 ///
 /// # Errors
 ///
@@ -506,7 +501,7 @@ fn prepare_slot(
 ) -> Result<(), GrapeError> {
     let dim = device.dim();
     device.hamiltonian_into(&slot.amps, &mut slot.h);
-    if let Err(e) = eigh_into(&slot.h, &mut slot.eig) {
+    if let Err(e) = eigh_warm_into(&slot.h, &mut slot.eig) {
         slot.cache_valid = false;
         return Err(GrapeError::Numerical(format!(
             "eigendecomposition failed: {e}"
@@ -572,13 +567,12 @@ fn fidelity_and_gradient(
     // Per-slot eigensystems and propagators. A slot whose amplitudes are
     // bit-identical to its previous evaluation keeps its cached bundle
     // (common once Adam saturates amplitudes at the clamp); an all-zero
-    // slot adopts the hoisted drift bundle.
+    // slot adopts the hoisted drift bundle; any other slot is recomputed,
+    // its eigensolver warm-started from the slot's previous basis.
     let needs_phi = mode == GradientMode::Exact;
-    let use_cache = config.eig_cache;
     let drift = ws.drift.as_deref();
     for (s, slot) in ws.slots.iter_mut().enumerate() {
-        let hit = use_cache
-            && slot.cache_valid
+        let hit = slot.cache_valid
             && (!needs_phi || slot.phi_built)
             && slot
                 .amps
@@ -591,7 +585,7 @@ fn fidelity_and_gradient(
         for (a, c) in slot.amps.iter_mut().zip(controls) {
             *a = c[s];
         }
-        if use_cache && slot.amps.iter().all(|a| a.to_bits() == 0.0f64.to_bits()) {
+        if slot.amps.iter().all(|a| a.to_bits() == 0.0f64.to_bits()) {
             if let Some(d) = drift {
                 if !needs_phi || d.phi_built {
                     slot.copy_bundle_from(d);
@@ -606,23 +600,19 @@ fn fidelity_and_gradient(
         }
     }
 
-    // Serial chain sweeps: prefix[s] = U_{s-1}···U_0, suffix[s] = U_last···U_s.
-    for s in 0..n_slots {
-        let (head, tail) = ws.prefix.split_at_mut(s + 1);
-        ws.slots[s].prop.matmul_into(&head[s], &mut tail[0]);
+    // Serial chain sweeps: prefix[s] = U_{s-1}···U_0 and, with A† folded
+    // into the suffix, suffix[s] = A†·U_last···U_s.
+    for s in 1..n_slots {
+        let (head, tail) = ws.prefix.split_at_mut(s);
+        ws.slots[s - 1].prop.matmul_into(&head[s - 1], &mut tail[0]);
     }
+    ws.suffix[n_slots].copy_from(adag);
     for s in (0..n_slots).rev() {
         let (head, tail) = ws.suffix.split_at_mut(s + 1);
         tail[0].matmul_into(&ws.slots[s].prop, &mut head[s]);
     }
-    // f = Tr(A†·U_total), computed without materializing the product.
-    let total = &ws.prefix[n_slots];
-    let mut f_complex = Complex64::ZERO;
-    for i in 0..dim {
-        for k in 0..dim {
-            f_complex += adag[(i, k)] * total[(k, i)];
-        }
-    }
+    // f = Tr(A†·U_total) = Tr(suffix[0]).
+    let f_complex: Complex64 = (0..dim).map(|i| ws.suffix[0][(i, i)]).sum();
     let fabs = f_complex.abs().max(1e-300);
     let fidelity = fabs / dim as f64;
     let f_conj = f_complex.conj();
@@ -631,9 +621,8 @@ fn fidelity_and_gradient(
     let prefix = &ws.prefix;
     let suffix = &ws.suffix;
     for (s, slot) in ws.slots.iter_mut().enumerate() {
-        // W = prefix[s]·A†·suffix[s+1]; df_j = Tr(W·dU_j).
-        prefix[s].matmul_into(adag, &mut slot.t1);
-        slot.t1.matmul_into(&suffix[s + 1], &mut slot.t2);
+        // W = prefix[s]·A†·U_last···U_{s+1}; df_j = Tr(W·dU_j).
+        prefix[s].matmul_into(&suffix[s + 1], &mut slot.t2);
         match mode {
             GradientMode::Exact => {
                 // K = V†·W·V, the trace kernel in the slot eigenbasis.
@@ -703,26 +692,37 @@ mod tests {
         DeviceModel::transmon_line(1).unwrap()
     }
 
-    /// Test convenience: allocates a fresh workspace and returns the
-    /// gradient in the old `[channel][slot]` shape.
-    fn fidelity_and_gradient_alloc(
+    /// Test convenience: evaluates on `ws` and returns the gradient in the
+    /// `[channel][slot]` shape.
+    fn fidelity_and_gradient_in(
+        ws: &mut GrapeWorkspace,
         device: &DeviceModel,
         target: &Matrix,
         controls: &[Vec<f64>],
         mode: GradientMode,
     ) -> (f64, Vec<Vec<f64>>) {
         let n_slots = controls[0].len();
-        let mut ws = GrapeWorkspace::new(device, n_slots);
         let config = GrapeConfig {
             gradient: mode,
             ..Default::default()
         };
-        let f = fidelity_and_gradient(device, &target.dagger(), controls, &config, &mut ws)
+        let f = fidelity_and_gradient(device, &target.dagger(), controls, &config, ws)
             .expect("gradient evaluation");
         let grad = (0..controls.len())
             .map(|j| ws.grad[j * n_slots..(j + 1) * n_slots].to_vec())
             .collect();
         (f, grad)
+    }
+
+    /// [`fidelity_and_gradient_in`] on a fresh workspace.
+    fn fidelity_and_gradient_alloc(
+        device: &DeviceModel,
+        target: &Matrix,
+        controls: &[Vec<f64>],
+        mode: GradientMode,
+    ) -> (f64, Vec<Vec<f64>>) {
+        let mut ws = GrapeWorkspace::new(device, controls[0].len());
+        fidelity_and_gradient_in(&mut ws, device, target, controls, mode)
     }
 
     #[test]
@@ -752,6 +752,76 @@ mod tests {
                     (fd - an).abs() < 1e-4 * (1.0 + an.abs()),
                     "({j},{s}): fd {fd} vs analytic {an}"
                 );
+            }
+        }
+        // Two qubits on one reused workspace: every evaluation runs the
+        // 4×4 eigensolver warm-started from the previous one's basis.
+        let d2 = DeviceModel::transmon_line(2).unwrap();
+        let cz = Gate::CZ.unitary_matrix();
+        let controls = vec![
+            vec![0.05, -0.02, 0.04],
+            vec![0.01, 0.03, -0.05],
+            vec![-0.04, 0.06, 0.02],
+            vec![0.03, -0.01, -0.06],
+        ];
+        let mut ws = GrapeWorkspace::new(&d2, 3);
+        let exact = GradientMode::Exact;
+        let (f0, grad) = fidelity_and_gradient_in(&mut ws, &d2, &cz, &controls, exact);
+        for j in 0..4 {
+            for s in 0..3 {
+                let mut c2 = controls.clone();
+                c2[j][s] += h;
+                let (f1, _) = fidelity_and_gradient_in(&mut ws, &d2, &cz, &c2, exact);
+                let fd = (f1 - f0) / h * 4.0;
+                let an = grad[j][s];
+                assert!(
+                    (fd - an).abs() < 1e-4 * (1.0 + an.abs()),
+                    "2q ({j},{s}): fd {fd} vs analytic {an}"
+                );
+            }
+        }
+    }
+
+    /// A workspace's warm-started eigenbases change an evaluation only at
+    /// rounding level: after two other control sets, it agrees with a
+    /// fresh workspace. The last set keeps some slots of the one before
+    /// (cache hits), zeroes some (drift adoption) and moves the rest by
+    /// an optimizer-sized step (warm starts).
+    #[test]
+    fn warm_started_workspace_matches_a_fresh_one() {
+        let d = DeviceModel::transmon_line(2).unwrap();
+        let cz = Gate::CZ.unitary_matrix();
+        let n_slots = 12;
+        let a_max = d.max_amplitude();
+        let mut rng = epoc_rt::rng::StdRng::seed_from_u64(17);
+        let mut random_controls = || -> Vec<Vec<f64>> {
+            (0..4)
+                .map(|_| (0..n_slots).map(|_| (rng.gen_f64() - 0.5) * a_max).collect())
+                .collect()
+        };
+        let first = random_controls();
+        let second = random_controls();
+        let mut last = second.clone();
+        for (j, channel) in last.iter_mut().enumerate() {
+            for (s, u) in channel.iter_mut().enumerate() {
+                match s % 3 {
+                    0 => {}
+                    1 => *u = 0.0,
+                    _ => *u += 0.02 * if (j + s) % 2 == 0 { 1.0 } else { -1.0 },
+                }
+            }
+        }
+        let mut reused = GrapeWorkspace::new(&d, n_slots);
+        for controls in [&first, &second] {
+            fidelity_and_gradient_in(&mut reused, &d, &cz, controls, GradientMode::Exact);
+        }
+        let (f_reused, g_reused) =
+            fidelity_and_gradient_in(&mut reused, &d, &cz, &last, GradientMode::Exact);
+        let (f_fresh, g_fresh) = fidelity_and_gradient_alloc(&d, &cz, &last, GradientMode::Exact);
+        assert!((f_reused - f_fresh).abs() <= 1e-12, "fidelity {f_reused} vs {f_fresh}");
+        for (j, (a, b)) in g_reused.iter().zip(&g_fresh).enumerate() {
+            for (s, (x, y)) in a.iter().zip(b).enumerate() {
+                assert!((x - y).abs() <= 1e-12, "gradient ({j},{s}): {x} vs {y}");
             }
         }
     }

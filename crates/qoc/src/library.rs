@@ -202,39 +202,6 @@ impl CacheKey {
         }
     }
 
-    /// A stable (cross-run, cross-platform) FNV-1a hash of the key.
-    /// `std`'s hasher is seeded per process, so it cannot be used
-    /// anywhere determinism across runs matters.
-    pub fn stable_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let (tag, dim, cells) = match &self.fingerprint {
-            Fingerprint::PhaseAware(k) => (0u8, k.dim() as u32, k.cells()),
-            Fingerprint::PhaseSensitive(k) => (1u8, k.dim() as u32, k.cells()),
-        };
-        let mut h = OFFSET;
-        let mut eat = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        };
-        eat(tag);
-        for b in dim.to_le_bytes() {
-            eat(b);
-        }
-        for &(re, im) in cells {
-            for b in re.to_le_bytes() {
-                eat(b);
-            }
-            for b in im.to_le_bytes() {
-                eat(b);
-            }
-        }
-        for b in self.hw.to_le_bytes() {
-            eat(b);
-        }
-        h
-    }
-
     /// Serializes the key for the persistent library: its policy kind,
     /// dimension, quantized cells as a flat `[re, im, re, im, …]`
     /// integer array, and the hardware-profile hash as 16 hex digits.
@@ -846,24 +813,11 @@ mod tests {
     }
 
     #[test]
-    fn stable_hash_differs_by_policy_and_gate() {
-        let h = Gate::H.unitary_matrix();
-        let x = Gate::X.unitary_matrix();
-        let pa = |u: &Matrix| CacheKey::phase_aware(UnitaryKey::new(u), 0).stable_hash();
-        let ps = |u: &Matrix| CacheKey::phase_sensitive(PhaseSensitiveKey::new(u), 0).stable_hash();
-        assert_ne!(pa(&h), pa(&x));
-        assert_ne!(pa(&h), ps(&h));
-        // Stable across calls (and, by construction, across runs).
-        assert_eq!(pa(&h), pa(&h));
-    }
-
-    #[test]
     fn keys_are_scoped_to_the_hardware_profile() {
         let h = Gate::H.unitary_matrix();
         let ideal = CacheKey::phase_aware(UnitaryKey::new(&h), 0);
         let awg = CacheKey::phase_aware(UnitaryKey::new(&h), 0xABCD);
         assert_ne!(ideal, awg);
-        assert_ne!(ideal.stable_hash(), awg.stable_hash());
         // Two libraries over the same unitaries but different profiles
         // never serve each other's pulses.
         let lib_a = PulseLibrary::new(KeyPolicy::PhaseAware).with_profile_hash(0xABCD);

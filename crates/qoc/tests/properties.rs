@@ -208,54 +208,6 @@ fn library_file_round_trip_is_lossless_under_both_policies() {
 }
 
 #[test]
-fn eig_cache_does_not_change_the_trajectory() {
-    // The eigensystem cache keys on bit-identical amplitudes, so a hit
-    // replays exactly what recomputation would produce: fidelity, iteration
-    // count, and every control must match the uncached path to the bit.
-    property("eig_cache_does_not_change_the_trajectory")
-        .cases(12)
-        .run(|g| {
-            let seed = g.u64_in(0, 400);
-            let slots = g.usize_in(4, 16);
-            let device = DeviceModel::transmon_line(1).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let target = random_unitary(2, &mut rng);
-            let run = |eig_cache: bool| {
-                grape(
-                    &device,
-                    &target,
-                    slots,
-                    &GrapeConfig {
-                        max_iters: 40,
-                        restarts: 2,
-                        seed,
-                        eig_cache,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            };
-            let cached = run(true);
-            let plain = run(false);
-            assert_eq!(
-                cached.fidelity.to_bits(),
-                plain.fidelity.to_bits(),
-                "seed={seed} slots={slots}"
-            );
-            assert_eq!(cached.iterations, plain.iterations, "seed={seed}");
-            assert_eq!(
-                cached.total_iterations, plain.total_iterations,
-                "seed={seed}"
-            );
-            for (a, b) in cached.controls.iter().zip(&plain.controls) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "seed={seed}");
-                }
-            }
-        });
-}
-
-#[test]
 fn grape_is_deterministic() {
     let device = DeviceModel::transmon_line(1).unwrap();
     let target = Gate::H.unitary_matrix();
