@@ -89,8 +89,10 @@ fi
 # service-smoke: pipe two identical jobs into the epocd compilation
 # service with a persistent library. Both reports must verify; the second
 # must be served entirely from the warm cache (zero misses, zero GRAPE
-# iterations). Then restart the daemon on the persisted library file and
-# demand the warm start survives the process boundary.
+# iterations). Then restart the daemon on the persisted library file, with
+# the journal and `--checkpoint-every 1` the benchmark's warm daemons use,
+# and demand the warm start survives the process boundary and the
+# warm-only session leaves the library file's bytes as they were.
 if [ "$quick" -eq 0 ]; then
     rm -f target/service-smoke-lib.json
     echo "==> epocd service-smoke (cold run, 2 jobs)" >&2
@@ -108,14 +110,19 @@ if [ "$quick" -eq 0 ]; then
     sed -n 2p target/service-smoke.out | grep -q '"grape_iterations":0' \
         || { echo "service-smoke: second job re-ran GRAPE" >&2; exit 1; }
     echo "==> epocd service-smoke (restarted daemon, warm library)" >&2
+    cp target/service-smoke-lib.json target/service-smoke-lib.before
+    rm -f target/service-smoke.journal
     printf '%s\n' '{"id":3,"bench":"qaoa_n6"}' \
         | ./target/release/epocd --grape 1 --no-regroup \
             --library target/service-smoke-lib.json \
+            --journal target/service-smoke.journal --checkpoint-every 1 \
         > target/service-smoke-warm.out
     grep -q '"cache_misses":0' target/service-smoke-warm.out \
         || { echo "service-smoke: restarted daemon compiled cold" >&2; exit 1; }
     grep -q '"grape_iterations":0' target/service-smoke-warm.out \
         || { echo "service-smoke: restarted daemon re-ran GRAPE" >&2; exit 1; }
+    cmp target/service-smoke-lib.before target/service-smoke-lib.json \
+        || { echo "service-smoke: the warm-only session changed the library file" >&2; exit 1; }
     echo "==> service-smoke OK (warm cache survived the restart)"
 fi
 

@@ -316,15 +316,13 @@ fn main() -> ExitCode {
             }
             let compiler = EpocCompiler::new(config);
             if let Some(path) = &args.library {
-                let path = std::path::Path::new(path);
-                if path.exists() {
-                    // A bad library never fails the compile — report the
-                    // typed error and start cold (recomputing is safe).
-                    match compiler.load_library(path) {
-                        Ok(n) if !args.json => eprintln!("library: warm-started {n} pulses"),
-                        Ok(_) => {}
-                        Err(e) => eprintln!("warning: {e}; starting with a cold cache"),
-                    }
+                // A missing library loads 0, and a bad one never fails the
+                // compile — report the typed error and start cold
+                // (recomputing is safe).
+                match compiler.load_library(std::path::Path::new(path)) {
+                    Ok(n) if n > 0 && !args.json => eprintln!("library: warm-started {n} pulses"),
+                    Ok(_) => {}
+                    Err(e) => eprintln!("warning: {e}; starting with a cold cache"),
                 }
             }
             // Deadline and work budgets ride one cancellation token:

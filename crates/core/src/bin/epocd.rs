@@ -58,6 +58,9 @@
 //! batch) and the journal is compacted on every successful checkpoint.
 //! On start the journal replays after the library load, tolerating a
 //! torn final record — `kill -9` mid-batch loses no completed insert.
+//! The library file holds the same records, sorted by key, and both
+//! files load through one loader; a file that fails to load is moved
+//! aside to `FILE.corrupt` and the daemon starts without it.
 //!
 //! ## Observability
 //!
@@ -86,13 +89,13 @@
 
 use epoc::{CompilationReport, EpocCompiler, EpocConfig, StoreConfig};
 use epoc_circuit::{generators, parse_qasm, Circuit};
-use epoc_qoc::{replay_journal, JournalWriter};
+use epoc_qoc::JournalWriter;
 use epoc_rt::cancel::{Budget, CancelToken};
 use epoc_rt::json::Json;
 use epoc_rt::telemetry::{self, LogLevel, TelemetryScope};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -131,7 +134,8 @@ fn usage() -> ! {
          --grape N          GRAPE width cap (default {DEFAULT_GRAPE_LIMIT}; 0 = modeled backend)\n\
          --workers N        worker-pool size for each compile\n\
          --no-regroup       disable regrouping (per-gate pulses)\n\
-         --checkpoint-every N also persist the library every N completed jobs\n\
+         --checkpoint-every N also persist the library after every N completed jobs that\n\
+         \x20                  missed the cache (a job served from the library writes nothing new)\n\
          --queue-limit N    shed jobs (typed 'queue_full' rejection) past N queued; 0 = unlimited\n\
          --line-limit BYTES reject request lines longer than BYTES (default {DEFAULT_LINE_LIMIT})\n\
          --journal FILE     write-ahead journal for library inserts between checkpoints\n\
@@ -314,12 +318,41 @@ struct Service {
     jobs_failed: usize,
     jobs_rejected: usize,
     batches: usize,
+    /// Completed jobs since the last checkpoint that missed the cache.
+    /// Only a miss can insert, so a job served wholly from the library
+    /// gives a checkpoint nothing new to write and does not count toward
+    /// `--checkpoint-every` or the end-of-input checkpoint.
     jobs_since_checkpoint: usize,
     /// Monotone correlation id handed to each accepted compile job (1,
     /// 2, …) — deterministic for a fixed request sequence, unlike the
     /// caller-chosen `id` field (which is echoed in responses and logged
     /// as `request_id`).
     job_seq: u64,
+}
+
+/// Loads a library file or journal into `compiler`, returning the number
+/// of pulses restored (0 for a missing file). Every failure takes one
+/// path: warn, move the file aside to `FILE.corrupt` (a failed load
+/// applies nothing), and go on without it — recomputing its pulses is
+/// always safe, serving from a file that lies is not.
+fn load_or_set_aside(compiler: &EpocCompiler, path: &Path) -> usize {
+    compiler.load_library(path).unwrap_or_else(|e| {
+        let mut aside = path.as_os_str().to_owned();
+        aside.push(".corrupt");
+        let aside = PathBuf::from(aside);
+        match std::fs::rename(path, &aside) {
+            Ok(()) => eprintln!(
+                "epocd: warning: {e}; moved {} aside to {} and starting without it",
+                path.display(),
+                aside.display()
+            ),
+            Err(m) => eprintln!(
+                "epocd: warning: {e}; starting without {} (moving it aside failed: {m})",
+                path.display()
+            ),
+        }
+        0
+    })
 }
 
 impl Service {
@@ -351,41 +384,19 @@ impl Service {
             }
         }
         let compiler = EpocCompiler::new(config);
-        if let Some(path) = &args.library {
-            if path.exists() {
-                match compiler.load_library(path) {
-                    Ok(n) => eprintln!("epocd: warm-started {n} pulses from {}", path.display()),
-                    // A torn or corrupt library is recoverable: report the
-                    // typed error, compile cold, and overwrite it at the
-                    // next checkpoint.
-                    Err(e) => eprintln!("epocd: warning: {e}; starting with a cold cache"),
+        // Both files are journal records and load through one loader:
+        // the library first, then the inserts journaled after its last
+        // checkpoint. Loading precedes the insert observers, so loaded
+        // entries go straight to the store and are never re-journaled.
+        for (path, loaded) in [(&args.library, "warm-started"), (&args.journal, "replayed")] {
+            if let Some(path) = path {
+                match load_or_set_aside(&compiler, path) {
+                    0 => {}
+                    n => eprintln!("epocd: {loaded} {n} pulses from {}", path.display()),
                 }
             }
         }
         let journal = args.journal.as_ref().and_then(|jpath| {
-            // Replay before attaching observers: replayed inserts go
-            // straight to the store and must not re-journal themselves.
-            match replay_journal(jpath, &compiler.library_sections()) {
-                Ok(0) => {}
-                Ok(n) => {
-                    eprintln!("epocd: replayed {n} journaled pulses from {}", jpath.display())
-                }
-                Err(e) => {
-                    // A corrupt journal fails closed (nothing applied).
-                    // Move it aside — recomputing lost pulses is always
-                    // safe; trusting a lying journal is not.
-                    let aside = jpath.with_extension("journal.corrupt");
-                    let moved = std::fs::rename(jpath, &aside).is_ok();
-                    eprintln!(
-                        "epocd: warning: {e}; {}",
-                        if moved {
-                            format!("moved the journal aside to {}", aside.display())
-                        } else {
-                            "and the journal could not be moved aside".to_string()
-                        }
-                    );
-                }
-            }
             match JournalWriter::open_append(jpath) {
                 Ok(writer) => {
                     let writer = Arc::new(writer);
@@ -704,7 +715,9 @@ impl Service {
                     report.log_summary().push("elapsed_ns", elapsed_ns),
                 );
                 self.jobs_done += 1;
-                self.jobs_since_checkpoint += 1;
+                if report.stages.cache_misses > 0 {
+                    self.jobs_since_checkpoint += 1;
+                }
                 (
                     resp.push("ok", report.verified || report.verify_skipped)
                         .push("report", report.to_json_value()),

@@ -671,9 +671,11 @@ impl EpocCompiler {
             .sum()
     }
 
-    /// Persists the pulse libraries to `path` (checksummed JSON, written
-    /// atomically via temp-file + rename). The file is byte-deterministic
-    /// for a given library content.
+    /// Persists the pulse libraries to `path` as checksummed record lines,
+    /// the format of the write-ahead journal, sorted by key within each
+    /// section (see [`epoc_qoc::save_library_file`]). The write is
+    /// atomic and durable (fsync'd temp file, rename, fsync'd directory),
+    /// and the file is byte-deterministic for a given library content.
     ///
     /// # Errors
     ///
@@ -684,13 +686,16 @@ impl EpocCompiler {
     }
 
     /// Warm-starts the pulse libraries from a file written by
-    /// [`EpocCompiler::save_library`], returning the number of entries
-    /// restored.
+    /// [`EpocCompiler::save_library`] or from a write-ahead journal (one
+    /// format, one loader: [`epoc_qoc::load_library_file`]), returning
+    /// the number of entries restored. A missing file restores 0; a torn
+    /// last record is cut off and the whole records before it load.
     ///
     /// # Errors
     ///
-    /// Returns [`EpocError::Library`] when the file is unreadable, torn,
-    /// corrupt, or keyed under a different policy. The error is
+    /// Returns [`EpocError::Library`] when the file is unreadable,
+    /// corrupt, not a library file, or keyed under a different policy or
+    /// hardware profile; nothing is loaded then. The error is
     /// recoverable: the caller reports it and compiles with a cold cache
     /// (recomputing is always safe).
     pub fn load_library(&self, path: &std::path::Path) -> Result<usize, EpocError> {

@@ -67,7 +67,8 @@ impl HermitianEig {
 pub enum EigError {
     /// The input was not square.
     NotSquare,
-    /// The input was not Hermitian within the built-in tolerance.
+    /// The input was not Hermitian within the built-in tolerance, or had
+    /// a non-finite (NaN or infinite) entry.
     NotHermitian,
     /// Jacobi sweeps failed to converge (pathological input).
     NoConvergence,
@@ -197,14 +198,19 @@ fn decompose(h: &Matrix, out: &mut HermitianEig, warm: bool) -> Result<(), EigEr
     result
 }
 
-/// Checks that `h` is square and Hermitian within `HERMITIAN_TOL·scale`,
-/// and returns `scale = max(max|h_ij|, 1)`, the unit of every tolerance.
+/// Checks that `h` is square, finite and Hermitian within
+/// `HERMITIAN_TOL·scale`, and returns `scale = max(max|h_ij|, 1)`, the unit
+/// of every tolerance. (The comparisons below let NaN through and
+/// `f64::max` drops it, so finiteness is checked first.)
 fn hermitian_scale(h: &Matrix) -> Result<f64, EigError> {
     if !h.is_square() {
         return Err(EigError::NotSquare);
     }
     let n = h.rows();
     let hd = h.as_slice();
+    if !hd.iter().all(|z| z.is_finite()) {
+        return Err(EigError::NotHermitian);
+    }
     // max |entry| via norm_sqr: one sqrt total instead of n² hypots.
     let scale = hd
         .iter()

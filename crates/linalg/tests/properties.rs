@@ -285,24 +285,39 @@ fn eigh_warm_chain_does_not_drift() {
     );
 }
 
-/// A non-Hermitian input fails typed on both entries, at the 4×4 kernel's
-/// size and another, and leaves `out` empty, so the next warm call starts
-/// cold.
+/// A non-Hermitian or non-finite input fails typed on both entries, at the
+/// 4×4 kernel's size and others, and leaves `out` empty, so the next warm
+/// call starts cold.
 #[test]
 fn eigh_rejects_non_hermitian_on_both_entries() {
+    type Entry = fn(&Matrix, &mut HermitianEig) -> Result<(), EigError>;
     let mut rng = StdRng::seed_from_u64(3);
-    for n in [3, 4] {
+    for n in [2, 3, 4] {
         let h = random_hermitian(n, &mut rng);
-        let mut bad = h.clone();
-        bad[(0, n - 1)] += c64(0.5, 0.0);
-        let mut out = eigh(&h).unwrap();
-        assert_eq!(eigh_into(&bad, &mut out), Err(EigError::NotHermitian), "n={n}");
-        assert!(out.values.is_empty() && out.vectors.rows() == 0, "n={n}");
-        let mut out = eigh(&h).unwrap();
-        assert_eq!(eigh_warm_into(&bad, &mut out), Err(EigError::NotHermitian), "n={n}");
-        assert!(out.values.is_empty() && out.vectors.rows() == 0, "n={n}");
-        // After the failure the warm entry starts cold: bit-identical to
+        let mut skewed = h.clone();
+        skewed[(0, n - 1)] += c64(0.5, 0.0);
+        let mut bad = vec![skewed];
+        // Non-finite entries on the diagonal, and mirrored off it so the
+        // matrix keeps its Hermitian shape.
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut diagonal = h.clone();
+            diagonal[(n - 1, n - 1)] = c64(x, 0.0);
+            let mut off = h.clone();
+            off[(0, 1)] = c64(x, 0.0);
+            off[(1, 0)] = c64(x, 0.0);
+            bad.extend([diagonal, off]);
+        }
+        for (i, b) in bad.iter().enumerate() {
+            for (name, entry) in [("cold", eigh_into as Entry), ("warm", eigh_warm_into)] {
+                let mut out = eigh(&h).unwrap();
+                assert_eq!(entry(b, &mut out), Err(EigError::NotHermitian), "n={n} #{i} {name}");
+                assert!(out.values.is_empty() && out.vectors.rows() == 0, "n={n} #{i} {name}");
+            }
+        }
+        // After a failure the warm entry starts cold: bit-identical to
         // `eigh_into`.
+        let mut out = eigh(&h).unwrap();
+        assert!(eigh_warm_into(&bad[0], &mut out).is_err());
         eigh_warm_into(&h, &mut out).unwrap();
         let cold = eigh(&h).unwrap();
         assert_eq!(out.values, cold.values, "n={n}");

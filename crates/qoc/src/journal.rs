@@ -1,12 +1,14 @@
-//! Crash-safe write-ahead journal for the pulse library.
+//! The pulse library's one on-disk format: checksummed record lines.
 //!
-//! The persistent library is checkpointed atomically (temp file +
-//! rename), but a checkpoint only lands every N jobs — every insert since
-//! the last checkpoint dies with the process. The journal closes that
-//! window: each live insert appends one checksummed record *before* the
-//! in-memory store mutation, the file is fsync'd at batch boundaries, and
-//! on start the service replays it after the checksum-validated library
-//! load. A successful checkpoint compacts the journal back to empty.
+//! `epocd`'s library file (`--library`) and its write-ahead journal
+//! (`--journal`) hold the same records, and [`load_library_file`] reads
+//! both. [`JournalWriter`] appends one record per live insert, *before*
+//! the in-memory store mutation, and fsyncs at batch boundaries, so
+//! `kill -9` between checkpoints loses no completed insert. A checkpoint
+//! ([`save_library_file`]) rewrites every entry as records — sections in
+//! the order given, entries sorted by [`CacheKey`] within each, so the
+//! same contents give the same bytes — and then compacts the journal to
+//! empty.
 //!
 //! ## Record format
 //!
@@ -16,41 +18,65 @@
 //! {"crc":"<16 hex digits>","rec":{"section":"grape","key":{…},"entry":{…}}}
 //! ```
 //!
-//! `crc` is the FNV-1a checksum of the canonical compact serialization of
-//! the `rec` value — the same canonical-bytes trick the library file
-//! uses, so re-serializing the parsed record reproduces the checksummed
-//! bytes exactly.
+//! `crc` is the FNV-1a checksum of the bytes of `rec` as written, its
+//! compact serialization.
 //!
 //! ## Recovery rules
 //!
-//! * Every **newline-terminated** record must parse and checksum-match;
-//!   any failure is mid-file corruption and replay fails closed
-//!   ([`crate::LibraryError::Corrupt`]) applying *nothing* — a journal
-//!   that lies about one record cannot be trusted about the rest.
-//! * An **unterminated tail** is a torn final append (`kill -9`
-//!   mid-write): if the tail happens to be a complete, checksum-valid
-//!   record (only its newline was lost) it is applied; otherwise it is
-//!   dropped and the file is truncated back to the last good record.
-//!   Either way, every record whose append completed survives.
+//! A load parses and validates every line before it applies any.
+//!
+//! * A **terminated** line that is not a valid record is corruption: the
+//!   load fails closed ([`LibraryError::Corrupt`]) and applies *nothing*.
+//! * An **unterminated last line** is a torn write: applied if it is a
+//!   whole record that only lost its newline, else truncated away. Every
+//!   whole record before it loads.
+//! * Only that torn line may stop short of `{"crc":"`, and only as a
+//!   prefix of it. Any other line is from a foreign file — an old-format
+//!   library is one unterminated `{"version":…}` line — and fails closed
+//!   as `Corrupt`, leaving the file untouched.
+//! * A record of a requested section keyed under another policy or
+//!   hardware profile fails closed as [`LibraryError::PolicyMismatch`] or
+//!   [`LibraryError::HwProfileMismatch`]; records of other sections are
+//!   validated and skipped.
 
-use crate::library::{payload_checksum, CacheKey, PulseEntry, PulseLibrary};
+use crate::library::{CacheKey, PulseEntry, PulseLibrary};
 use crate::store::LibraryError;
 use epoc_rt::json::Json;
 use std::io::{Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Serializes one journal record line (without the trailing newline).
+/// How every record line begins.
+const RECORD_PREFIX: &str = "{\"crc\":\"";
+
+/// FNV-1a over a record's serialized payload, rendered as 16 hex digits —
+/// the torn-write detector.
+fn payload_checksum(payload: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in payload.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Serializes one record line (without the trailing newline): the bytes
+/// `Json::obj().push("crc", …).push("rec", rec)` prints, which
+/// [`parse_record`] splits apart again.
 fn record_line(section: &str, key: &CacheKey, entry: &PulseEntry) -> String {
-    let rec = Json::obj()
+    let payload = Json::obj()
         .push("section", section)
         .push("key", key.to_json_value())
-        .push("entry", entry.to_json_value());
-    let payload = rec.to_string_compact();
-    Json::obj()
-        .push("crc", payload_checksum(&payload))
-        .push("rec", rec)
-        .to_string_compact()
+        .push("entry", entry.to_json_value())
+        .to_string_compact();
+    format!("{RECORD_PREFIX}{}\",\"rec\":{payload}}}", payload_checksum(&payload))
+}
+
+fn io_error(path: &Path, e: std::io::Error) -> LibraryError {
+    LibraryError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    }
 }
 
 /// Append-only journal writer. Thread-safe: appends serialize on an
@@ -59,7 +85,14 @@ fn record_line(section: &str, key: &CacheKey, entry: &PulseEntry) -> String {
 #[derive(Debug)]
 pub struct JournalWriter {
     path: PathBuf,
-    file: Mutex<std::fs::File>,
+    file: Mutex<JournalFile>,
+}
+
+/// The open journal, and whether it holds bytes no fsync has covered.
+#[derive(Debug)]
+struct JournalFile {
+    file: std::fs::File,
+    unsynced: bool,
 }
 
 impl JournalWriter {
@@ -73,26 +106,15 @@ impl JournalWriter {
             .create(true)
             .append(true)
             .open(path)
-            .map_err(|e| LibraryError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
+            .map_err(|e| io_error(path, e))?;
         Ok(Self {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            file: Mutex::new(JournalFile { file, unsynced: false }),
         })
     }
 
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     fn io_err(&self, e: std::io::Error) -> LibraryError {
-        LibraryError::Io {
-            path: self.path.display().to_string(),
-            message: e.to_string(),
-        }
+        io_error(&self.path, e)
     }
 
     /// Appends one insert record. Durability is deferred to
@@ -101,8 +123,8 @@ impl JournalWriter {
     ///
     /// Fail point `pulse_lib.journal` simulates a crash mid-append: half
     /// the record's bytes land in the file (no newline) and the call
-    /// still reports success — chaos tests then assert replay tolerates
-    /// the torn tail.
+    /// still reports success — chaos tests then assert the loader
+    /// tolerates the torn tail.
     ///
     /// # Errors
     ///
@@ -114,32 +136,38 @@ impl JournalWriter {
         entry: &PulseEntry,
     ) -> Result<(), LibraryError> {
         let line = record_line(section, key, entry);
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let mut journal = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        journal.unsynced = true;
         if epoc_rt::faults::fail_point("pulse_lib.journal") {
             // Torn append: the line is ASCII, so any split point is a
             // char boundary.
             let half = &line.as_bytes()[..line.len() / 2];
-            file.write_all(half).map_err(|e| self.io_err(e))?;
+            journal.file.write_all(half).map_err(|e| self.io_err(e))?;
             epoc_rt::telemetry::counter_add("pulse_lib.journal_torn", 1);
             return Ok(());
         }
-        file.write_all(line.as_bytes()).map_err(|e| self.io_err(e))?;
-        file.write_all(b"\n").map_err(|e| self.io_err(e))?;
+        journal.file.write_all(line.as_bytes()).map_err(|e| self.io_err(e))?;
+        journal.file.write_all(b"\n").map_err(|e| self.io_err(e))?;
         epoc_rt::telemetry::counter_add("pulse_lib.journal_appends", 1);
         Ok(())
     }
 
     /// Flushes and fsyncs the journal — the batch-boundary durability
-    /// point: every record appended before a successful `sync` survives
-    /// `kill -9`.
+    /// point: every record appended before a successful `sync` survives a
+    /// power loss (a completed append already survives `kill -9`). With
+    /// nothing appended since the last sync or compaction, no fsync runs.
     ///
     /// # Errors
     ///
     /// Returns [`LibraryError::Io`] when the flush or fsync fails.
     pub fn sync(&self) -> Result<(), LibraryError> {
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.flush().map_err(|e| self.io_err(e))?;
-        file.sync_data().map_err(|e| self.io_err(e))?;
+        let mut journal = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        if !journal.unsynced {
+            return Ok(());
+        }
+        journal.file.flush().map_err(|e| self.io_err(e))?;
+        journal.file.sync_data().map_err(|e| self.io_err(e))?;
+        journal.unsynced = false;
         Ok(())
     }
 
@@ -151,43 +179,99 @@ impl JournalWriter {
     ///
     /// Returns [`LibraryError::Io`] when truncation fails.
     pub fn compact(&self) -> Result<(), LibraryError> {
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.set_len(0).map_err(|e| self.io_err(e))?;
-        file.seek(std::io::SeekFrom::Start(0)).map_err(|e| self.io_err(e))?;
-        file.sync_data().map_err(|e| self.io_err(e))?;
+        let mut journal = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        journal.file.set_len(0).map_err(|e| self.io_err(e))?;
+        journal
+            .file
+            .seek(std::io::SeekFrom::Start(0))
+            .map_err(|e| self.io_err(e))?;
+        journal.file.sync_data().map_err(|e| self.io_err(e))?;
+        journal.unsynced = false;
         epoc_rt::telemetry::counter_add("pulse_lib.journal_compactions", 1);
         Ok(())
     }
 }
 
-/// A parsed, validated journal record awaiting application.
-struct ParsedRecord {
-    section_index: Option<usize>,
+/// Saves the libraries of `sections` to `path` as record lines: the
+/// sections in the order given, each one's entries sorted by key, so the
+/// same contents always produce the same bytes. The write goes to a temp
+/// file that is fsync'd, atomically renamed over `path`, and made
+/// durable by an fsync of the directory: a crash or power loss leaves
+/// either the previous file or the new one, never an empty file behind a
+/// journal the checkpoint already compacted.
+///
+/// Fail point `pulse_lib.persist` simulates a torn write instead: half
+/// the bytes land at `path` directly (no rename) and the call still
+/// reports success — chaos tests then assert that loading it keeps the
+/// whole records and recomputes the rest.
+///
+/// # Errors
+///
+/// Returns [`LibraryError::Io`] when the file cannot be written.
+pub fn save_library_file(
+    path: &Path,
+    sections: &[(&str, &PulseLibrary)],
+) -> Result<(), LibraryError> {
+    let mut doc = String::new();
+    for (name, lib) in sections {
+        for (key, entry) in lib.store().snapshot() {
+            doc.push_str(&record_line(name, &key, &entry));
+            doc.push('\n');
+        }
+    }
+    let io_err = |e| io_error(path, e);
+    if epoc_rt::faults::fail_point("pulse_lib.persist") {
+        std::fs::write(path, &doc.as_bytes()[..doc.len() / 2]).map_err(io_err)?;
+        epoc_rt::telemetry::counter_add("pulse_lib.persist_torn", 1);
+        return Ok(());
+    }
+    let tmp = path.with_extension("tmp");
+    let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
+    file.write_all(doc.as_bytes()).map_err(io_err)?;
+    file.sync_all().map_err(io_err)?;
+    drop(file);
+    std::fs::rename(&tmp, path).map_err(io_err)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(io_err)?;
+    epoc_rt::telemetry::counter_add("pulse_lib.persisted", 1);
+    Ok(())
+}
+
+/// `true` when `line` begins like a record, or is cut off inside the
+/// record prefix — what a torn write can leave.
+fn is_record_start(line: &str) -> bool {
+    line.starts_with(RECORD_PREFIX) || RECORD_PREFIX.starts_with(line)
+}
+
+/// A parsed, checksum-valid record.
+struct Record {
+    section: String,
     key: CacheKey,
     entry: PulseEntry,
 }
 
-/// Parses and validates one record line against the requested sections.
-/// `Ok(record)` leaves application to the caller (two-phase replay).
-fn parse_record(
-    line: &str,
-    sections: &[(&str, &PulseLibrary)],
-) -> Result<ParsedRecord, String> {
-    let doc = Json::parse(line).map_err(|e| format!("unparseable record ({e})"))?;
-    let stored = doc
-        .get("crc")
-        .and_then(Json::as_str)
-        .ok_or("record is missing 'crc'")?;
-    let rec = doc.get("rec").ok_or("record is missing 'rec'")?;
-    // Canonical serializer: re-serializing the parsed record reproduces
-    // the exact bytes the checksum was computed over.
-    if payload_checksum(&rec.to_string_compact()) != stored {
+/// Parses one line (without its newline), checking the checksum against
+/// the payload's bytes as written.
+fn parse_record(line: &str) -> Result<Record, String> {
+    let body = line
+        .strip_prefix(RECORD_PREFIX)
+        .ok_or("not a library record (an old-format or foreign file?)")?;
+    let (stored, payload) = body
+        .split_at_checked(16)
+        .and_then(|(crc, rest)| Some((crc, rest.strip_prefix("\",\"rec\":")?.strip_suffix('}')?)))
+        .ok_or("malformed record")?;
+    if payload_checksum(payload) != stored {
         return Err("record checksum mismatch".into());
     }
+    let rec = Json::parse(payload).map_err(|e| format!("unparseable record ({e})"))?;
     let section = rec
         .get("section")
         .and_then(Json::as_str)
-        .ok_or("record is missing 'section'")?;
+        .ok_or("record is missing 'section'")?
+        .to_string();
     let key = rec
         .get("key")
         .ok_or("record is missing 'key'".to_string())
@@ -196,126 +280,109 @@ fn parse_record(
         .get("entry")
         .ok_or("record is missing 'entry'".to_string())
         .and_then(|e| PulseEntry::from_json_value(e).map_err(|e| format!("malformed entry: {e}")))?;
-    let section_index = sections.iter().position(|(name, _)| *name == section);
-    if let Some(i) = section_index {
-        let lib = sections[i].1;
-        if key.policy() != lib.policy() {
-            return Err(format!(
-                "section '{section}' key policy {:?} does not match the library's {:?}",
-                key.policy(),
-                lib.policy()
-            ));
-        }
-        if key.hw() != lib.profile_hash() {
-            return Err(format!(
-                "section '{section}' key hw {:016x} does not match the library's {:016x}",
-                key.hw(),
-                lib.profile_hash()
-            ));
-        }
-    }
-    Ok(ParsedRecord { section_index, key, entry })
+    Ok(Record { section, key, entry })
 }
 
-/// Replays a journal written by [`JournalWriter`] into the given
-/// libraries, returning the number of records applied. A missing journal
-/// file replays zero records (fresh start). Records naming sections not
-/// in `sections` are validated but skipped, mirroring
-/// [`crate::load_library_file`].
+/// The library `rec` loads into (`None` for a section not requested),
+/// after checking that its key was resolved under that library's policy
+/// and hardware profile.
+fn target<'a>(
+    rec: &Record,
+    sections: &[(&str, &'a PulseLibrary)],
+) -> Result<Option<&'a PulseLibrary>, LibraryError> {
+    let Some(&(_, lib)) = sections.iter().find(|(name, _)| *name == rec.section) else {
+        return Ok(None);
+    };
+    if rec.key.policy() != lib.policy() {
+        return Err(LibraryError::PolicyMismatch {
+            expected: lib.policy(),
+            found: rec.key.policy().as_str().to_string(),
+        });
+    }
+    // A pulse optimized for one control stack must never warm-start a
+    // compile targeting another: the waveform would be mis-conditioned.
+    if rec.key.hw() != lib.profile_hash() {
+        return Err(LibraryError::HwProfileMismatch {
+            expected: lib.profile_hash(),
+            found: rec.key.hw(),
+        });
+    }
+    Ok(Some(lib))
+}
+
+/// Loads a library file or journal into the libraries of `sections`,
+/// returning how many entries were restored. A missing file loads zero
+/// (a fresh start). Existing entries are kept (loads merge); hit/miss
+/// counters are untouched. Loaded entries bypass the insert observer:
+/// they are already on disk and must not be re-journaled.
 ///
-/// Replay is two-phase (parse everything, then apply), so a corrupt
-/// journal applies *nothing*. Applied entries bypass the insert observer
-/// — replayed inserts are already durable and must not be re-journaled.
-///
-/// A torn tail (unterminated final line) is tolerated: if it is a
-/// complete checksum-valid record it is applied, otherwise the file is
-/// truncated back to the last good record.
+/// The `pulse_lib.insert` fail point drops loaded records exactly as it
+/// drops live inserts — chaos tests use it to model a lost library.
 ///
 /// # Errors
 ///
-/// * [`LibraryError::Io`] — the journal cannot be read (other than not
-///   existing) or the torn-tail truncation fails.
-/// * [`LibraryError::Corrupt`] — a newline-terminated record fails to
-///   parse, checksum-match, or validate against its target library;
-///   nothing is applied. Callers treat this as "start cold": delete or
-///   move the journal aside and recompute (always safe).
-pub fn replay_journal(
+/// Nothing is applied on any error (see the module's recovery rules):
+///
+/// * [`LibraryError::Io`] — the file cannot be read (other than not
+///   existing), or the torn-tail truncation fails.
+/// * [`LibraryError::Corrupt`] — a terminated line that is not a valid
+///   record, or a last line that is not even the start of one.
+/// * [`LibraryError::PolicyMismatch`] /
+///   [`LibraryError::HwProfileMismatch`] — a record of a requested
+///   section keyed under another policy or hardware profile.
+///
+/// Callers treat any error as "start cold": recomputing is always safe.
+pub fn load_library_file(
     path: &Path,
     sections: &[(&str, &PulseLibrary)],
 ) -> Result<usize, LibraryError> {
-    let display = path.display().to_string();
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => {
-            return Err(LibraryError::Io {
-                path: display,
-                message: e.to_string(),
-            })
-        }
+        Err(e) => return Err(io_error(path, e)),
+    };
+    let corrupt = |offset: usize, reason: String| LibraryError::Corrupt {
+        path: path.display().to_string(),
+        reason: format!("line at byte {offset}: {reason}"),
     };
 
-    // Phase 1: parse and validate. Terminated lines must all be valid;
-    // the unterminated tail (if any) may be torn.
-    let mut records: Vec<ParsedRecord> = Vec::new();
-    let mut good_end = 0usize; // byte offset after the last good record
+    // Phase 1: parse and validate every line.
+    let mut records = Vec::new();
+    let mut torn_at = None;
     let mut offset = 0usize;
-    let mut tail_truncate: Option<usize> = None;
-    while offset < text.len() {
-        let rest = &text[offset..];
-        match rest.find('\n') {
-            Some(nl) => {
-                let line = &rest[..nl];
-                if !line.trim().is_empty() {
-                    let rec = parse_record(line, sections).map_err(|reason| {
-                        LibraryError::Corrupt {
-                            path: display.clone(),
-                            reason: format!(
-                                "journal record at byte {offset}: {reason}"
-                            ),
-                        }
-                    })?;
-                    records.push(rec);
+    for chunk in text.split_inclusive('\n') {
+        let (line, terminated) = chunk.strip_suffix('\n').map_or((chunk, false), |l| (l, true));
+        match parse_record(line) {
+            Ok(rec) => {
+                if let Some(lib) = target(&rec, sections)? {
+                    records.push((lib, rec.key, rec.entry));
                 }
-                offset += nl + 1;
-                good_end = offset;
             }
-            None => {
-                // Torn tail: apply if it is a complete record that only
-                // lost its newline, else schedule truncation.
-                match parse_record(rest, sections) {
-                    Ok(rec) => records.push(rec),
-                    Err(_) => tail_truncate = Some(good_end),
-                }
-                offset = text.len();
-            }
+            Err(_) if !terminated && is_record_start(line) => torn_at = Some(offset),
+            Err(reason) => return Err(corrupt(offset, reason)),
         }
+        offset += chunk.len();
     }
 
-    // Phase 2: truncate the torn tail, then apply every record in order.
-    if let Some(end) = tail_truncate {
-        let file = std::fs::OpenOptions::new()
+    // Phase 2: cut off a torn tail, then apply every record in order.
+    if let Some(end) = torn_at {
+        std::fs::OpenOptions::new()
             .write(true)
             .open(path)
-            .map_err(|e| LibraryError::Io {
-                path: display.clone(),
-                message: e.to_string(),
-            })?;
-        file.set_len(end as u64).map_err(|e| LibraryError::Io {
-            path: display.clone(),
-            message: e.to_string(),
-        })?;
-        epoc_rt::telemetry::counter_add("pulse_lib.journal_torn_tails", 1);
+            .and_then(|f| f.set_len(end as u64))
+            .map_err(|e| io_error(path, e))?;
+        epoc_rt::telemetry::counter_add("pulse_lib.torn_tails", 1);
     }
-    let mut applied = 0usize;
-    for rec in records {
-        if let Some(i) = rec.section_index {
-            sections[i].1.store().put(rec.key, rec.entry);
-            applied += 1;
+    let mut loaded = 0usize;
+    for (lib, key, entry) in records {
+        if epoc_rt::faults::fail_point("pulse_lib.insert") {
+            continue;
         }
+        lib.store().put(key, entry);
+        loaded += 1;
     }
-    epoc_rt::telemetry::counter_add("pulse_lib.journal_replayed", applied as u64);
-    Ok(applied)
+    epoc_rt::telemetry::counter_add("pulse_lib.loaded", loaded as u64);
+    Ok(loaded)
 }
 
 #[cfg(test)]
@@ -350,7 +417,7 @@ mod tests {
         journal.sync().unwrap();
         let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
         assert_eq!(
-            replay_journal(&path, &[("grape", &restored)]).unwrap(),
+            load_library_file(&path, &[("grape", &restored)]).unwrap(),
             2
         );
         assert_eq!(restored.len(), 2);
@@ -364,7 +431,7 @@ mod tests {
         let lib = PulseLibrary::new(KeyPolicy::PhaseAware);
         let path = temp_path("missing.jsonl");
         std::fs::remove_file(&path).ok();
-        assert_eq!(replay_journal(&path, &[("grape", &lib)]).unwrap(), 0);
+        assert_eq!(load_library_file(&path, &[("grape", &lib)]).unwrap(), 0);
     }
 
     #[test]
@@ -383,12 +450,45 @@ mod tests {
         bytes.extend_from_slice(&line.as_bytes()[..line.len() / 2]);
         std::fs::write(&path, &bytes).unwrap();
         let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
-        assert_eq!(replay_journal(&path, &[("grape", &restored)]).unwrap(), 1);
+        assert_eq!(load_library_file(&path, &[("grape", &restored)]).unwrap(), 1);
         assert_eq!(restored.len(), 1);
         // The torn tail was physically truncated away.
         let after = std::fs::read_to_string(&path).unwrap();
         assert!(after.ends_with('\n'));
         assert_eq!(after.lines().count(), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A torn checkpoint loads exactly the whole records before the tear
+    /// (each is checksummed), and the file is cut back to them.
+    #[test]
+    fn truncated_library_file_loads_its_whole_records() {
+        let lib = PulseLibrary::new(KeyPolicy::PhaseAware);
+        for g in [Gate::H, Gate::X, Gate::Sx] {
+            lib.insert(&g.unitary_matrix(), entry(26.0));
+        }
+        let path = temp_path("torn-library.json");
+        save_library_file(&path, &[("grape", &lib)]).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        for cut in [full.len() / 4, full.len() / 2, full.len() - 2, full.len() - 1] {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let whole = full[..cut].iter().filter(|&&b| b == b'\n').count()
+                + usize::from(cut == full.len() - 1);
+            let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
+            assert_eq!(
+                load_library_file(&path, &[("grape", &restored)]).unwrap(),
+                whole,
+                "cut at {cut}"
+            );
+            assert_eq!(restored.len(), whole, "cut at {cut}");
+            // A whole last record stays; a torn one is cut off.
+            let end = if cut == full.len() - 1 {
+                cut
+            } else {
+                full[..cut].iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+            };
+            assert_eq!(std::fs::read(&path).unwrap(), &full[..end], "cut at {cut}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -411,9 +511,34 @@ mod tests {
         bytes[i] = if bytes[i] == b'3' { b'4' } else { b'3' };
         std::fs::write(&path, &bytes).unwrap();
         let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
-        let err = replay_journal(&path, &[("grape", &restored)]).unwrap_err();
+        let err = load_library_file(&path, &[("grape", &restored)]).unwrap_err();
         assert!(matches!(err, LibraryError::Corrupt { .. }), "{err:?}");
         assert!(restored.is_empty(), "fail closed must apply nothing");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A library in the earlier snapshot format — one unterminated
+    /// `{"version":2,…}` line — is a foreign file, not a torn record: it
+    /// fails closed as `Corrupt` and is left byte for byte as it was.
+    #[test]
+    fn old_format_library_fails_closed_untouched() {
+        let path = temp_path("old-format.json");
+        let old = concat!(
+            r#"{"version":2,"checksum":"0123456789abcdef","libraries":{"grape":"#,
+            r#"{"policy":"phase_aware","hw":"0000000000000000","entries":[]}}}"#
+        );
+        std::fs::write(&path, old).unwrap();
+        let lib = PulseLibrary::new(KeyPolicy::PhaseAware);
+        let err = load_library_file(&path, &[("grape", &lib)]).unwrap_err();
+        assert!(matches!(err, LibraryError::Corrupt { .. }), "{err:?}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), old);
+        // A torn record line stops short of the record prefix only as a
+        // prefix of it; any other short line is foreign too.
+        for (tail, torn) in [("{\"cr", true), ("{\"ver", false), ("\n", false)] {
+            std::fs::write(&path, tail).unwrap();
+            let result = load_library_file(&path, &[("grape", &lib)]);
+            assert_eq!(result.is_ok(), torn, "{tail:?}: {result:?}");
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -435,10 +560,12 @@ mod tests {
             .unwrap();
         journal.sync().unwrap();
         let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
-        assert_eq!(replay_journal(&path, &[("grape", &restored)]).unwrap(), 1);
+        assert_eq!(load_library_file(&path, &[("grape", &restored)]).unwrap(), 1);
         std::fs::remove_file(&path).ok();
     }
 
+    /// Records of sections the caller did not ask for are validated but
+    /// skipped.
     #[test]
     fn unknown_sections_are_skipped_not_corrupt() {
         let lib = PulseLibrary::new(KeyPolicy::PhaseAware);
@@ -450,11 +577,13 @@ mod tests {
             .unwrap();
         journal.sync().unwrap();
         let other = PulseLibrary::new(KeyPolicy::PhaseAware);
-        assert_eq!(replay_journal(&path, &[("model", &other)]).unwrap(), 0);
+        assert_eq!(load_library_file(&path, &[("model", &other)]).unwrap(), 0);
         assert!(other.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
+    /// A journal record keyed under another policy fails closed with the
+    /// typed error.
     #[test]
     fn policy_mismatch_fails_closed() {
         let aware = PulseLibrary::new(KeyPolicy::PhaseAware);
@@ -466,8 +595,16 @@ mod tests {
             .unwrap();
         journal.sync().unwrap();
         let sensitive = PulseLibrary::new(KeyPolicy::PhaseSensitive);
-        let err = replay_journal(&path, &[("grape", &sensitive)]).unwrap_err();
-        assert!(matches!(err, LibraryError::Corrupt { .. }), "{err:?}");
+        let err = load_library_file(&path, &[("grape", &sensitive)]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                LibraryError::PolicyMismatch { expected: KeyPolicy::PhaseSensitive, found }
+                    if found == "phase_aware"
+            ),
+            "{err:?}"
+        );
+        assert!(sensitive.is_empty());
         std::fs::remove_file(&path).ok();
     }
 
@@ -485,15 +622,15 @@ mod tests {
         lib.insert(&Gate::H.unitary_matrix(), entry(26.0));
         journal.sync().unwrap();
         let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
-        assert_eq!(replay_journal(&path, &[("grape", &restored)]).unwrap(), 1);
+        assert_eq!(load_library_file(&path, &[("grape", &restored)]).unwrap(), 1);
         assert_eq!(
             restored.peek(&Gate::H.unitary_matrix()),
             lib.peek(&Gate::H.unitary_matrix())
         );
-        // Bulk restores bypass the observer: replay into `lib` itself
-        // must not grow the journal.
+        // Loads bypass the observer: loading into `lib` itself must not
+        // grow the journal.
         let before = std::fs::metadata(&path).unwrap().len();
-        replay_journal(&path, &[("grape", &lib)]).unwrap();
+        load_library_file(&path, &[("grape", &lib)]).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
         std::fs::remove_file(&path).ok();
     }

@@ -9,7 +9,9 @@
 //! * [`minimize_duration`] — the AccQOC binary search for the shortest
 //!   pulse reaching a fidelity threshold;
 //! * [`PulseLibrary`] — the unitary→pulse cache, with EPOC's
-//!   global-phase-aware key policy and the phase-sensitive baseline;
+//!   global-phase-aware key policy and the phase-sensitive baseline,
+//!   persisted as checksummed record lines ([`save_library_file`],
+//!   [`load_library_file`], [`JournalWriter`]);
 //! * [`DurationModel`] — the calibrated duration model substituting for
 //!   cluster-scale GRAPE on wide blocks;
 //! * [`PulseSynthesizer`] backends ([`GrapeSynthesizer`],
@@ -48,11 +50,8 @@ pub use grape::{
     GrapeResult,
 };
 pub use grape::GrapeWorkspace;
-pub use journal::{replay_journal, JournalWriter};
-pub use library::{
-    load_library_file, save_library_file, CacheKey, InsertObserver, KeyPolicy, PulseEntry,
-    PulseLibrary,
-};
+pub use journal::{load_library_file, save_library_file, JournalWriter};
+pub use library::{CacheKey, InsertObserver, KeyPolicy, PulseEntry, PulseLibrary};
 pub use model::{DurationModel, GateDurationTable};
 pub use store::{entry_bytes, LibraryError, StoreConfig};
 pub use synthesizer::{

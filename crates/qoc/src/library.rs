@@ -8,17 +8,16 @@
 //!
 //! The library resolves a unitary to a [`CacheKey`] under its policy and
 //! delegates to its store (see [`crate::store`]): one locked map with an
-//! optional LRU byte budget. The library can also be
-//! **persisted**: entries serialize to JSON via `epoc_rt::json` in
-//! sorted-key order, wrapped in a versioned, checksummed file so torn or
-//! truncated writes are detected on load and degrade to a cold cache
-//! instead of corrupting a compile.
+//! optional LRU byte budget. Keys and entries serialize to JSON via
+//! `epoc_rt::json`; [`crate::journal`] owns the one on-disk format built
+//! from them, checksummed record lines that the library file and the
+//! write-ahead journal share, so a torn or corrupted file is detected on
+//! load and degrades to recomputation instead of corrupting a compile.
 
-use crate::store::{LibraryError, PulseStore, StoreConfig};
+use crate::store::{PulseStore, StoreConfig};
 use crate::waveform::PulseWaveform;
 use epoc_linalg::{Matrix, PhaseSensitiveKey, UnitaryKey};
 use epoc_rt::json::Json;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -289,9 +288,9 @@ impl CacheKey {
 pub struct PulseLibrary {
     policy: KeyPolicy,
     /// Stable hash of the hardware profile the stored pulses were
-    /// optimized under (0 = ideal electronics). Scopes every cache key
-    /// and the persisted section header, so a library built for one
-    /// control stack can never silently serve another.
+    /// optimized under (0 = ideal electronics). Scopes every cache key,
+    /// and so every persisted record, so a library built for one control
+    /// stack can never silently serve another.
     profile_hash: u64,
     store: PulseStore,
     hits: AtomicUsize,
@@ -355,8 +354,9 @@ impl PulseLibrary {
         self.profile_hash
     }
 
-    /// The store itself, for bulk restores that must bypass the insert
-    /// observer (journal replay).
+    /// The store itself, for the file layer in [`crate::journal`]: saves
+    /// read its sorted snapshot, and loads put entries straight into it,
+    /// bypassing the insert observer.
     pub(crate) fn store(&self) -> &PulseStore {
         &self.store
     }
@@ -416,9 +416,9 @@ impl PulseLibrary {
 
     /// Registers (or clears) the insert observer: a callback invoked on
     /// every *live* insert, before the store mutation — the write-ahead
-    /// hook for [`crate::journal`]. Bulk restores
-    /// ([`PulseLibrary::load_json_value`] and journal replay) bypass it,
-    /// so loaded entries are never re-journaled.
+    /// hook for a [`crate::JournalWriter`]. Entries loaded from a library
+    /// file or a journal ([`crate::load_library_file`]) bypass it, so they
+    /// are never re-journaled.
     pub fn set_insert_observer(&self, observer: Option<InsertObserver>) {
         *self.observer.0.lock().unwrap_or_else(|e| e.into_inner()) = observer;
     }
@@ -488,251 +488,13 @@ impl PulseLibrary {
             h as f64 / (h + m) as f64
         }
     }
-
-    /// Serializes the library's entries in sorted-key order (so the same
-    /// contents always produce the same bytes, whatever the insertion
-    /// history).
-    pub fn to_json_value(&self) -> Json {
-        let entries = self
-            .store
-            .snapshot()
-            .into_iter()
-            .map(|(k, e)| {
-                Json::obj()
-                    .push("key", k.to_json_value())
-                    .push("entry", e.to_json_value())
-            })
-            .collect();
-        Json::obj()
-            .push("policy", self.policy.as_str())
-            .push("hw", format!("{:016x}", self.profile_hash))
-            .push("entries", Json::Arr(entries))
-    }
-
-    /// Restores entries from a value written by
-    /// [`PulseLibrary::to_json_value`], returning how many were loaded.
-    /// Existing entries are kept (loads merge); hit/miss counters are
-    /// untouched.
-    ///
-    /// The `pulse_lib.insert` fail point applies per entry, exactly as it
-    /// does for live inserts — chaos tests use it to model a partially
-    /// lost library.
-    ///
-    /// # Errors
-    ///
-    /// Returns a reason string when the section's policy does not match
-    /// this library's or an entry is malformed. Entries loaded before the
-    /// malformed one remain (the caller degrades to a cold or lukewarm
-    /// cache — never to a panic).
-    pub fn load_json_value(&self, v: &Json) -> Result<usize, String> {
-        let policy = v.get("policy").and_then(Json::as_str).ok_or("library section is missing 'policy'")?;
-        if KeyPolicy::from_str_opt(policy) != Some(self.policy) {
-            return Err(format!(
-                "policy mismatch: library uses '{}', file holds '{policy}'",
-                self.policy.as_str()
-            ));
-        }
-        // Fail closed on a hardware-profile mismatch: a library of pulses
-        // optimized for one control stack must never warm-start a compile
-        // targeting another — the waveforms would be mis-conditioned.
-        let section_hw = match v.get("hw") {
-            None => 0,
-            Some(h) => h
-                .as_str()
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or("library section 'hw' is not a hex hash")?,
-        };
-        if section_hw != self.profile_hash {
-            return Err(format!(
-                "hw profile mismatch: library expects {:016x}, file holds {section_hw:016x}",
-                self.profile_hash
-            ));
-        }
-        let Some(Json::Arr(entries)) = v.get("entries") else {
-            return Err("library section is missing 'entries'".into());
-        };
-        let mut loaded = 0usize;
-        for item in entries {
-            let key = item
-                .get("key")
-                .ok_or("library entry is missing 'key'")
-                .and_then(|k| CacheKey::from_json_value(k).map_err(|_| "malformed key"))
-                .map_err(String::from)?;
-            if key.policy() != self.policy {
-                return Err("entry key policy differs from section policy".into());
-            }
-            if key.hw() != self.profile_hash {
-                return Err(format!(
-                    "hw profile mismatch: entry key carries {:016x}, library expects {:016x}",
-                    key.hw(),
-                    self.profile_hash
-                ));
-            }
-            let entry = item
-                .get("entry")
-                .ok_or_else(|| "library entry is missing 'entry'".to_string())
-                .and_then(PulseEntry::from_json_value)?;
-            if epoc_rt::faults::fail_point("pulse_lib.insert") {
-                continue;
-            }
-            self.store.put(key, entry);
-            loaded += 1;
-        }
-        epoc_rt::telemetry::counter_add("pulse_lib.loaded", loaded as u64);
-        Ok(loaded)
-    }
-}
-
-/// On-disk library format version. Version 2 added the hardware-profile
-/// hash to section headers and cache keys; version-1 files fail closed
-/// as unsupported (recompute is always safe, serving a pulse conditioned
-/// for unknown electronics is not).
-const LIBRARY_FORMAT_VERSION: u64 = 2;
-
-/// FNV-1a over the serialized payload, rendered as 16 hex digits — the
-/// torn-write detector for library files (and, per record, for the
-/// write-ahead journal in [`crate::journal`]).
-pub(crate) fn payload_checksum(payload: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
-/// Saves one or more named library sections to `path` as a versioned,
-/// checksummed JSON document. The write goes through a temp file plus an
-/// atomic rename, so a crash mid-write leaves the previous file intact.
-///
-/// Fail point `pulse_lib.persist` simulates a torn write instead: half
-/// the document lands on disk directly (no rename) and the call still
-/// reports success — chaos tests then assert the damage is *detected on
-/// load* and degrades to a cold cache.
-///
-/// # Errors
-///
-/// Returns [`LibraryError::Io`] when the file cannot be written.
-pub fn save_library_file(
-    path: &Path,
-    sections: &[(&str, &PulseLibrary)],
-) -> Result<(), LibraryError> {
-    let mut libraries = Json::obj();
-    for (name, lib) in sections {
-        libraries = libraries.push(name, lib.to_json_value());
-    }
-    let payload = libraries.to_string_compact();
-    let doc = Json::obj()
-        .push("version", LIBRARY_FORMAT_VERSION)
-        .push("checksum", payload_checksum(&payload))
-        .push("libraries", libraries)
-        .to_string_compact();
-    let io_err = |e: std::io::Error| LibraryError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
-    if epoc_rt::faults::fail_point("pulse_lib.persist") {
-        // Torn write: the first half of the bytes, straight to the final
-        // path. `doc` is ASCII (JSON with escaped strings), so any split
-        // point is a char boundary.
-        let half = &doc.as_bytes()[..doc.len() / 2];
-        std::fs::write(path, half).map_err(io_err)?;
-        epoc_rt::telemetry::counter_add("pulse_lib.persist_torn", 1);
-        return Ok(());
-    }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &doc).map_err(io_err)?;
-    std::fs::rename(&tmp, path).map_err(io_err)?;
-    epoc_rt::telemetry::counter_add("pulse_lib.persisted", 1);
-    Ok(())
-}
-
-/// Loads library sections saved by [`save_library_file`] into the given
-/// libraries, returning the total number of entries restored. Sections
-/// present in the file but not requested are ignored; requested sections
-/// missing from the file load zero entries.
-///
-/// # Errors
-///
-/// * [`LibraryError::Io`] — the file cannot be read.
-/// * [`LibraryError::Corrupt`] — unparseable JSON, a missing or
-///   mismatched checksum (torn/truncated write), an unsupported format
-///   version, or a malformed entry.
-/// * [`LibraryError::PolicyMismatch`] — a section keyed under a different
-///   policy than its target library.
-/// * [`LibraryError::HwProfileMismatch`] — a section whose pulses were
-///   optimized under a different hardware profile than its target
-///   library's; serving them would silently play mis-conditioned
-///   waveforms, so the load fails closed.
-///
-/// Callers treat any error as "start cold": the typed error is reported,
-/// the library keeps whatever was loaded before the failure, and
-/// compilation proceeds — recomputing is always safe.
-pub fn load_library_file(
-    path: &Path,
-    sections: &[(&str, &PulseLibrary)],
-) -> Result<usize, LibraryError> {
-    let display = path.display().to_string();
-    let corrupt = |reason: String| LibraryError::Corrupt { path: display.clone(), reason };
-    let text = std::fs::read_to_string(path).map_err(|e| LibraryError::Io {
-        path: display.clone(),
-        message: e.to_string(),
-    })?;
-    let doc = Json::parse(&text).map_err(|e| corrupt(format!("unparseable JSON ({e})")))?;
-    let version = doc.get("version").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    if version != LIBRARY_FORMAT_VERSION {
-        return Err(corrupt(format!(
-            "unsupported format version {version} (expected {LIBRARY_FORMAT_VERSION})"
-        )));
-    }
-    let stored = doc
-        .get("checksum")
-        .and_then(Json::as_str)
-        .ok_or_else(|| corrupt("missing checksum".into()))?;
-    let libraries = doc
-        .get("libraries")
-        .ok_or_else(|| corrupt("missing 'libraries' object".into()))?;
-    // The serializer is canonical (insertion-ordered keys, shortest
-    // round-trip floats), so re-serializing the parsed payload reproduces
-    // the exact bytes the checksum was computed over.
-    let actual = payload_checksum(&libraries.to_string_compact());
-    if actual != stored {
-        return Err(corrupt("checksum mismatch — torn or corrupted file".into()));
-    }
-    let mut loaded = 0usize;
-    for (name, lib) in sections {
-        if let Some(section) = libraries.get(name) {
-            loaded += lib.load_json_value(section).map_err(|reason| {
-                if reason.starts_with("policy mismatch") {
-                    LibraryError::PolicyMismatch {
-                        expected: lib.policy(),
-                        found: section
-                            .get("policy")
-                            .and_then(Json::as_str)
-                            .unwrap_or("?")
-                            .to_string(),
-                    }
-                } else if reason.starts_with("hw profile mismatch") {
-                    LibraryError::HwProfileMismatch {
-                        expected: lib.profile_hash(),
-                        found: section
-                            .get("hw")
-                            .and_then(Json::as_str)
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .unwrap_or(0),
-                    }
-                } else {
-                    corrupt(format!("section '{name}': {reason}"))
-                }
-            })?;
-        }
-    }
-    Ok(loaded)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::LibraryError;
+    use crate::{load_library_file, save_library_file};
     use epoc_circuit::Gate;
     use epoc_linalg::Complex64;
 
@@ -886,28 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_file_is_detected_as_corrupt() {
-        let lib = PulseLibrary::new(KeyPolicy::PhaseAware);
-        lib.insert(&Gate::H.unitary_matrix(), entry(26.0));
-        let path = temp_path("torn.json");
-        save_library_file(&path, &[("grape", &lib)]).unwrap();
-        let full = std::fs::read_to_string(&path).unwrap();
-        let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
-        // Every truncation point must be rejected, whether it breaks the
-        // JSON or only the checksum.
-        for cut in [full.len() / 4, full.len() / 2, full.len() - 2] {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let err = load_library_file(&path, &[("grape", &restored)]).unwrap_err();
-            assert!(
-                matches!(err, LibraryError::Corrupt { .. }),
-                "cut at {cut}: unexpected {err:?}"
-            );
-        }
-        assert!(restored.is_empty());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn policy_mismatch_is_typed() {
         let aware = PulseLibrary::new(KeyPolicy::PhaseAware);
         aware.insert(&Gate::H.unitary_matrix(), entry(26.0));
@@ -915,7 +655,15 @@ mod tests {
         save_library_file(&path, &[("grape", &aware)]).unwrap();
         let sensitive = PulseLibrary::new(KeyPolicy::PhaseSensitive);
         let err = load_library_file(&path, &[("grape", &sensitive)]).unwrap_err();
-        assert!(matches!(err, LibraryError::PolicyMismatch { .. }), "{err:?}");
+        assert!(
+            matches!(
+                &err,
+                LibraryError::PolicyMismatch { expected: KeyPolicy::PhaseSensitive, found }
+                    if found == "phase_aware"
+            ),
+            "{err:?}"
+        );
+        assert!(sensitive.is_empty());
         std::fs::remove_file(&path).ok();
     }
 

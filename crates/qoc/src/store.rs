@@ -2,9 +2,10 @@
 //! optional byte budget.
 //!
 //! Persistence (load-on-start / save-on-checkpoint) is layered on top in
-//! [`crate::library`]: the store snapshots its entries in sorted-key
-//! order, so persisted files are byte-deterministic whatever the
-//! insertion history.
+//! [`crate::journal`]: a checkpoint writes the store's snapshot, sorted
+//! by key, as journal records, so library files are byte-deterministic
+//! whatever the insertion history, and a load puts records straight into
+//! the store.
 //!
 //! # Determinism
 //!
@@ -50,9 +51,10 @@ pub struct StoreConfig {
     pub budget_bytes: Option<u64>,
 }
 
-/// A pulse-library persistence failure. Torn, truncated, or otherwise
-/// corrupted library files surface here — callers degrade to a cold
-/// cache rather than panic.
+/// A pulse-library persistence failure. Corrupted library files and
+/// journals surface here — callers degrade to a cold cache rather than
+/// panic. (A torn last record is not a failure: the loader keeps the
+/// whole records before it.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LibraryError {
     /// Reading or writing the library file failed.
@@ -62,9 +64,9 @@ pub enum LibraryError {
         /// The OS error text.
         message: String,
     },
-    /// The file exists but is not a valid library: truncated JSON, a
-    /// checksum mismatch (torn write), an unsupported version, or a
-    /// malformed entry.
+    /// The file exists but is not a valid library: a terminated line
+    /// that fails to parse or checksum-match, a malformed entry, or a
+    /// line that is not a record at all (an old-format or foreign file).
     Corrupt {
         /// The file involved.
         path: String,

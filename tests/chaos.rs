@@ -213,11 +213,11 @@ fn sim_propagate_injection_is_typed() {
     assert!(simulate_schedule(&circuit, &r.schedule, &SimOptions::default()).is_ok());
 }
 
-/// A torn checkpoint: `pulse_lib.persist` truncates the library file
-/// mid-write (and reports success, as a crashed process would). The
-/// damage must be *detected on load* as a typed `EpocError::Library`,
-/// and the compiler must degrade to a cold cache — recompute, verify,
-/// and produce the exact cold-run report. Never a panic.
+/// A torn checkpoint: `pulse_lib.persist` writes only the first half of
+/// the library file (and reports success, as a crashed process would).
+/// Every record is checksummed, so the restart loads the whole records
+/// before the tear and no more, recomputes the rest, verifies, and emits
+/// the cold run's schedule byte for byte. Never a panic.
 #[test]
 fn torn_library_checkpoint_degrades_to_cold_cache() {
     let _g = FaultGuard::acquire();
@@ -233,24 +233,27 @@ fn torn_library_checkpoint_degrades_to_cold_cache() {
     cold_compiler.save_library(&path).unwrap();
     faults::disarm("pulse_lib.persist");
 
-    // The restarted service detects the tear as a typed error…
+    // The restarted service keeps the records before the tear…
     let restarted = EpocCompiler::new(config());
-    let err = restarted.load_library(&path).unwrap_err();
-    assert!(
-        matches!(&err, EpocError::Library(epoc::LibraryError::Corrupt { .. })),
-        "torn file not detected as corrupt: {err:?}"
-    );
-    assert!(err.to_string().contains("library"), "untyped message: {err}");
+    let loaded = restarted.load_library(&path).unwrap();
+    let total = cold_compiler.library_len();
+    assert!(loaded > 0 && loaded < total, "loaded {loaded} of {total} entries");
 
-    // …and compiles cold: full misses, GRAPE re-run, same verified report.
-    let warm_attempt = restarted.compile(&circuit).unwrap();
-    assert!(warm_attempt.verified);
-    assert!(warm_attempt.stages.cache_misses > 0, "cold cache somehow hit");
-    assert!(warm_attempt.stages.grape_iterations > 0);
+    // …recomputes the others, and lands on the cold run's schedule.
+    let partial = restarted.compile(&circuit).unwrap();
+    assert!(partial.verified);
+    assert!(partial.stages.cache_misses > 0, "the torn half somehow hit");
+    assert!(
+        partial.stages.grape_iterations > 0
+            && partial.stages.grape_iterations < cold.stages.grape_iterations,
+        "GRAPE iterations {} (cold run {}): the loaded records were not used",
+        partial.stages.grape_iterations,
+        cold.stages.grape_iterations
+    );
     assert_eq!(
-        normalized_json(cold),
-        normalized_json(warm_attempt),
-        "cold-degraded report differs from a genuine cold run"
+        cold.schedule.to_json_value().to_string_compact(),
+        partial.schedule.to_json_value().to_string_compact(),
+        "partially warm schedule differs from a genuine cold run"
     );
     std::fs::remove_file(&path).ok();
 }

@@ -5,7 +5,7 @@
 
 use epoc_circuit::Gate;
 use epoc_qoc::{
-    replay_journal, save_library_file, JournalWriter, KeyPolicy, PulseEntry, PulseLibrary,
+    load_library_file, save_library_file, JournalWriter, KeyPolicy, PulseEntry, PulseLibrary,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -20,7 +20,7 @@ fn entry(duration: f64, fidelity: f64, n_slots: usize) -> PulseEntry {
 
 /// Replaying a journal reproduces the library that wrote it, for random
 /// insert sequences (repeated keys overwrite, in both worlds). The
-/// comparison is the canonical persisted file — byte equality, not just
+/// comparison is the canonical library file — byte equality, not just
 /// entry counts.
 #[test]
 fn replayed_journal_reproduces_the_library() {
@@ -51,7 +51,7 @@ fn replayed_journal_reproduces_the_library() {
             journal.sync().unwrap();
 
             let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
-            let applied = replay_journal(&path, &[("grape", &restored)]).unwrap();
+            let applied = load_library_file(&path, &[("grape", &restored)]).unwrap();
             assert_eq!(applied, n, "every journaled insert must apply");
             assert_eq!(restored.len(), lib.len());
 
@@ -102,7 +102,7 @@ fn truncation_at_every_offset_recovers_the_prefix() {
     for cut in 0..=bytes.len() {
         std::fs::write(&cut_path, &bytes[..cut]).unwrap();
         let restored = PulseLibrary::new(KeyPolicy::PhaseAware);
-        let applied = replay_journal(&cut_path, &[("grape", &restored)])
+        let applied = load_library_file(&cut_path, &[("grape", &restored)])
             .unwrap_or_else(|e| panic!("cut at {cut}: replay errored: {e}"));
         // Complete records in the prefix: every boundary <= cut, plus a
         // tail that is a whole record merely missing its newline (cut
@@ -114,7 +114,7 @@ fn truncation_at_every_offset_recovers_the_prefix() {
         assert_eq!(restored.len(), expected, "cut at {cut}: wrong library size");
         // Replay is idempotent after its own truncation repair.
         let again = PulseLibrary::new(KeyPolicy::PhaseAware);
-        assert_eq!(replay_journal(&cut_path, &[("grape", &again)]).unwrap(), expected);
+        assert_eq!(load_library_file(&cut_path, &[("grape", &again)]).unwrap(), expected);
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&cut_path).ok();
@@ -189,6 +189,66 @@ fn kill_nine_mid_batch_loses_no_completed_inserts() {
     assert_eq!(journal.metadata().unwrap().len(), 0, "checkpoint did not compact");
     std::fs::remove_file(&lib).ok();
     std::fs::remove_file(&journal).ok();
+}
+
+/// Sends one request line and reads its one response line.
+fn request(
+    stdin: &mut std::process::ChildStdin,
+    stdout: &mut BufReader<std::process::ChildStdout>,
+    line: &str,
+) -> String {
+    writeln!(stdin, "{line}").unwrap();
+    stdin.flush().unwrap();
+    let mut resp = String::new();
+    stdout.read_line(&mut resp).unwrap();
+    resp
+}
+
+/// `--checkpoint-every 1` checkpoints after a job that missed the cache
+/// and not after one served wholly from the library, which inserted
+/// nothing: the log holds exactly one `checkpoint.saved` event, the warm
+/// job leaves the library file's bytes as they were, and the journal
+/// stays compacted.
+#[test]
+fn checkpoint_every_skips_jobs_that_insert_nothing() {
+    let lib = temp_path("every-lib.json");
+    let journal = temp_path("every-journal.jsonl");
+    let log = temp_path("every.log");
+    for p in [&lib, &journal, &log] {
+        std::fs::remove_file(p).ok();
+    }
+    let (child, mut stdin, mut stdout) = spawn_epocd(&[
+        "--grape", "1", "--no-regroup",
+        "--library", lib.to_str().unwrap(),
+        "--journal", journal.to_str().unwrap(),
+        "--checkpoint-every", "1",
+        "--log", log.to_str().unwrap(),
+    ]);
+    // One request in flight at a time, so each job is a batch of its own;
+    // the `stats` round trip after a job waits out its batch's checkpoint.
+    let cold = request(&mut stdin, &mut stdout, r#"{"id":1,"bench":"qaoa_n6"}"#);
+    assert!(cold.contains(r#""ok":true"#), "cold job failed: {cold}");
+    assert!(!cold.contains(r#""cache_misses":0"#), "cold job never missed: {cold}");
+    request(&mut stdin, &mut stdout, r#"{"cmd":"stats"}"#);
+    let checkpointed = std::fs::read(&lib).expect("the cold job was not checkpointed");
+    let warm = request(&mut stdin, &mut stdout, r#"{"id":2,"bench":"qaoa_n6"}"#);
+    assert!(warm.contains(r#""cache_misses":0"#), "warm job missed: {warm}");
+    request(&mut stdin, &mut stdout, r#"{"cmd":"stats"}"#);
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+
+    let saved = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains(r#""event":"checkpoint.saved""#))
+        .count();
+    assert_eq!(saved, 1, "expected one checkpoint, for the cold job");
+    assert_eq!(std::fs::read(&lib).unwrap(), checkpointed, "the warm job rewrote the library");
+    assert_eq!(journal.metadata().unwrap().len(), 0, "the journal holds uncheckpointed inserts");
+    for p in [&lib, &journal, &log] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 /// `--queue-limit 1` under a burst: the in-flight job completes, the
