@@ -128,11 +128,11 @@ fi
 
 # obs-smoke: run the epocd service over two jobs with a structured JSONL
 # log, fetch the live Prometheus exposition over the line protocol, and
-# validate the whole observability surface: the log must attribute
-# lifecycle events to per-service job ids and the exposition must carry
-# job="N" labels plus latency summary quantiles (trace_check
-# --require-jobs), or job-scoped telemetry regressed. The one-shot
-# epocc --metrics-file exposition must validate as well.
+# validate the whole observability surface (trace_check --require-jobs):
+# the log must attribute lifecycle events to per-service job ids, and the
+# exposition must carry latency summary quantiles and no job="N" series,
+# which would grow with every job a long-running daemon serves. The
+# one-shot epocc --metrics-file exposition must validate as well.
 if [ "$quick" -eq 0 ]; then
     echo "==> epocd obs-smoke (2 jobs, metrics command, JSONL log)" >&2
     rm -f target/obs-smoke.log target/obs-smoke-metrics.json

@@ -26,8 +26,8 @@
 //!   per-block work caps — exhaustion degrades via the recovery ladder,
 //!   byte-identically at any worker count);
 //! * `{"cmd":"checkpoint"}` — persist the library now;
-//! * `{"cmd":"stats"}` — report service counters, gauges, latency
-//!   percentiles, and per-job counter summaries;
+//! * `{"cmd":"stats"}` — report service counters, gauges, and latency
+//!   percentiles;
 //! * `{"cmd":"metrics"}` — return the full Prometheus text exposition
 //!   (as one JSON string field, since the protocol is line-delimited);
 //! * `{"cmd":"shutdown"}` — checkpoint and exit.
@@ -51,7 +51,7 @@
 //! a panicking job answers `ok:false` and the daemon keeps serving. A
 //! `shutdown` drains gracefully — in-flight work finishes, queued lines
 //! get typed `shutting_down` rejections, the library checkpoints, and
-//! the process exits.
+//! the process exits. A response that cannot be written ends its stream.
 //!
 //! With `--journal FILE`, every live library insert is appended to a
 //! checksummed write-ahead journal between checkpoints (fsync'd per
@@ -65,27 +65,31 @@
 //! ## Observability
 //!
 //! The daemon runs with telemetry *enabled* but span capture *off*:
-//! counters, gauges, and histograms are cheap and bounded, while the
-//! per-span event list would grow without limit in a long-lived process.
+//! counters, gauges, and histograms are keyed by name, so memory and the
+//! `stats`/`metrics` answers stay flat over an unbounded job stream.
 //! Each accepted compile job gets a monotone job id (1, 2, …) carried by
 //! a [`epoc_rt::telemetry::TelemetryScope`] through the worker pool, so
-//! per-job counters and the structured log stay attributable. `--log
-//! FILE` appends JSONL events (job admission/rejection/completion, batch
-//! boundaries, recovery-rung climbs, evictions, checkpoint outcomes) —
-//! one JSON object per line with `ts_ns`, `level`, `event`, and `job`
-//! fields. None of this touches the report path: reports stay
-//! byte-identical with telemetry on or off, at any worker count.
+//! the structured log stays attributable; a job's own numbers are in its
+//! report and its `job.done` log line. `--log FILE` appends JSONL events
+//! (job admission/rejection/completion, batch boundaries, recovery-rung
+//! climbs, evictions, checkpoint outcomes) — one JSON object per line
+//! with `ts_ns`, `level`, `event`, and `job` fields. None of this
+//! touches the report path: reports stay byte-identical with telemetry
+//! on or off, at any worker count.
 //!
 //! ## Queueing and determinism
 //!
-//! A reader thread queues incoming lines on a channel; the compile loop
-//! drains them in arrival batches. Jobs *compile* strictly in arrival
-//! order — each compile fans its blocks out across the `epoc_rt` worker
-//! pool internally, and the pipeline's peek/claim/compute/replay scheme
-//! already guarantees byte-identical reports at any worker count — so a
-//! fixed job sequence produces a byte-identical response stream (modulo
-//! wall-clock timings) whatever `--workers` says. Checkpoints are
-//! amortized per batch, not per job.
+//! Stdin and each socket connection (accepted one at a time; a
+//! `shutdown` on any stops accepting) run through one loop, [`serve`]: a
+//! reader thread parses each line once and queues it on a channel, and
+//! the compile loop drains the channel in arrival batches. Jobs *compile*
+//! strictly in arrival order — each compile fans its blocks out across
+//! the `epoc_rt` worker pool internally, and the pipeline's
+//! peek/claim/compute/replay scheme already guarantees byte-identical
+//! reports at any worker count — so a fixed job sequence produces a
+//! byte-identical response stream (modulo wall-clock timings) whatever
+//! `--workers` says. Journal syncs and checkpoints are amortized per
+//! batch, not per job.
 
 use epoc::{CompilationReport, EpocCompiler, EpocConfig, StoreConfig};
 use epoc_circuit::{generators, parse_qasm, Circuit};
@@ -94,7 +98,7 @@ use epoc_rt::cancel::{Budget, CancelToken};
 use epoc_rt::json::Json;
 use epoc_rt::telemetry::{self, LogLevel, TelemetryScope};
 use std::collections::VecDeque;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,7 +143,7 @@ fn usage() -> ! {
          --queue-limit N    shed jobs (typed 'queue_full' rejection) past N queued; 0 = unlimited\n\
          --line-limit BYTES reject request lines longer than BYTES (default {DEFAULT_LINE_LIMIT})\n\
          --journal FILE     write-ahead journal for library inserts between checkpoints\n\
-         --socket PATH      serve a Unix socket instead of stdin/stdout\n\
+         --socket PATH      serve a Unix socket instead of stdin/stdout (replaces only a stale socket)\n\
          --log FILE         write a structured JSONL event log to FILE\n\
          --faults SPEC      arm fault injection (e.g. 'pulse_lib.persist=always')\n\
          --fault-seed N     seed for probabilistic fault triggers\n\
@@ -241,63 +245,53 @@ enum ReadLine {
     /// A complete line within the byte limit (newline stripped).
     Line(String),
     /// A line that exceeded the limit; its bytes were discarded up to
-    /// (and including) the next newline. Carries the observed length.
-    Oversized(usize),
+    /// (and including) the next newline.
+    Oversized,
     /// Clean end of stream.
     Eof,
 }
 
 /// Reads one `\n`-terminated line without ever buffering more than
-/// `limit` bytes of it: past the limit the rest of the line is consumed
-/// and discarded, so a hostile or corrupt client cannot wedge the
-/// reader's memory. A final unterminated line is returned as a line
-/// (matching `BufRead::lines`).
+/// `limit` bytes of it (plus the newline): past the limit the rest of the
+/// line is consumed and discarded, so a hostile or corrupt client cannot
+/// wedge the reader's memory. A final unterminated line is returned as a
+/// line (matching `BufRead::lines`).
 fn next_line(reader: &mut impl BufRead, limit: usize) -> std::io::Result<ReadLine> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut seen = 0usize;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if seen > limit {
-                ReadLine::Oversized(seen)
-            } else if buf.is_empty() && seen == 0 {
-                ReadLine::Eof
-            } else {
-                ReadLine::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        let nl = chunk.iter().position(|&b| b == b'\n');
-        let take = nl.unwrap_or(chunk.len());
-        seen += take;
-        if seen > limit {
-            buf.clear();
-        } else {
-            buf.extend_from_slice(&chunk[..take]);
-        }
-        let consumed = nl.map_or(chunk.len(), |i| i + 1);
-        reader.consume(consumed);
-        if nl.is_some() {
-            return Ok(if seen > limit {
-                ReadLine::Oversized(seen)
-            } else {
-                ReadLine::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
+    let mut buf = Vec::new();
+    let bound = (limit as u64).saturating_add(1);
+    if Read::take(&mut *reader, bound).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(ReadLine::Eof);
     }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > limit {
+        reader.skip_until(b'\n')?;
+        return Ok(ReadLine::Oversized);
+    }
+    Ok(ReadLine::Line(String::from_utf8_lossy(&buf).into_owned()))
 }
 
-/// `true` when the line is a service command — commands bypass admission
-/// control (`stats` must answer precisely when the queue is full). The
-/// reader and the drain loop must agree on this classification, so it is
-/// a pure function of the line text.
-fn is_command(line: &str) -> bool {
-    Json::parse(line).is_ok_and(|req| req.get("cmd").is_some())
+/// A request line, parsed once by the reader thread.
+struct Request {
+    /// The parsed request, or why the line does not parse.
+    req: Result<Json, String>,
+    /// `false` for a service command. Commands bypass admission control
+    /// (`stats` must answer precisely when the queue is full) and do not
+    /// count toward the queue depth.
+    job: bool,
+}
+
+impl Request {
+    /// The caller's `id` field, echoed on a rejection.
+    fn id(&self) -> Option<Json> {
+        self.req.as_ref().ok().and_then(|r| r.get("id").cloned())
+    }
 }
 
 /// What the reader thread queues for the serving loop.
 enum Incoming {
-    /// An admitted request line (job or command).
-    Request(String),
+    /// An admitted request (job or command).
+    Request(Request),
     /// A request shed at admission; the serving loop emits the typed
     /// rejection in arrival order.
     Reject {
@@ -314,10 +308,6 @@ struct Service {
     library: Option<PathBuf>,
     journal: Option<Arc<JournalWriter>>,
     checkpoint_every: usize,
-    jobs_done: usize,
-    jobs_failed: usize,
-    jobs_rejected: usize,
-    batches: usize,
     /// Completed jobs since the last checkpoint that missed the cache.
     /// Only a miss can insert, so a job served wholly from the library
     /// gives a checkpoint nothing new to write and does not count toward
@@ -424,10 +414,6 @@ impl Service {
             library: args.library.clone(),
             journal,
             checkpoint_every: args.checkpoint_every,
-            jobs_done: 0,
-            jobs_failed: 0,
-            jobs_rejected: 0,
-            batches: 0,
             jobs_since_checkpoint: 0,
             job_seq: 0,
         }
@@ -536,7 +522,9 @@ impl Service {
         }
     }
 
+    /// The `stats` answer; its counts are the always-on `epocd.*` counters.
     fn stats(&self) -> Json {
+        let count = telemetry::counter_value;
         let mut gauges = Json::obj();
         for (name, value) in telemetry::gauges_snapshot() {
             gauges = gauges.push(&name, value);
@@ -552,39 +540,25 @@ impl Service {
                     .push("count", h.count),
             );
         }
-        // Per-job counter summaries: the snapshot is sorted by (job,
-        // name), so one forward pass groups it.
-        let mut jobs_by_id = Json::obj();
-        let mut it = telemetry::job_counters_snapshot().into_iter().peekable();
-        while let Some((job, name, value)) = it.next() {
-            let mut obj = Json::obj().push(&name, value);
-            while it.peek().is_some_and(|(j, _, _)| *j == job) {
-                let (_, n, v) = it.next().expect("peeked");
-                obj = obj.push(&n, v);
-            }
-            jobs_by_id = jobs_by_id.push(&job.to_string(), obj);
-        }
         Json::obj().push("ok", true).push(
             "stats",
             Json::obj()
-                .push("jobs", self.jobs_done)
-                .push("failed", self.jobs_failed)
-                .push("rejected", self.jobs_rejected)
-                .push("batches", self.batches)
+                .push("jobs", count("epocd.jobs") - count("epocd.jobs_failed"))
+                .push("failed", count("epocd.jobs_failed"))
+                .push("rejected", count("epocd.jobs_rejected"))
+                .push("batches", count("epocd.batches"))
                 .push("cache_hits", self.compiler.cache_hits())
                 .push("cache_misses", self.compiler.cache_misses())
                 .push("library_entries", self.compiler.library_len())
                 .push("library_evictions", self.compiler.library_evictions())
                 .push("library_bytes", self.compiler.library_bytes())
                 .push("gauges", gauges)
-                .push("percentiles", percentiles)
-                .push("jobs_by_id", jobs_by_id),
+                .push("percentiles", percentiles),
         )
     }
 
     /// Records a shed job and builds its typed rejection line.
     fn reject(&mut self, id: Option<Json>, reason: &str, error: String) -> Json {
-        self.jobs_rejected += 1;
         telemetry::counter_add("epocd.jobs_rejected", 1);
         let mut detail = Json::obj().push("reason", reason);
         if let Some(id) = &id {
@@ -600,15 +574,9 @@ impl Service {
             .push("error", error)
     }
 
-    /// Sheds a still-queued request line during shutdown drain.
-    fn reject_line(&mut self, line: &str, reason: &'static str, error: &str) -> Json {
-        let id = Json::parse(line).ok().and_then(|req| req.get("id").cloned());
-        self.reject(id, reason, error.to_string())
-    }
-
-    /// Handles one request line, returning `(response, shutdown)`.
-    fn handle(&mut self, line: &str) -> (Json, bool) {
-        let req = match Json::parse(line) {
+    /// Handles one parsed request, returning `(response, shutdown)`.
+    fn handle(&mut self, req: Result<Json, String>) -> (Json, bool) {
+        let req = match req {
             Ok(r) => r,
             Err(e) => {
                 return (
@@ -650,8 +618,8 @@ impl Service {
             resp = resp.push("id", id.clone());
         }
         // Every compile job gets a fresh monotone correlation id; the
-        // scope carries it into counters, spans, log lines, and (via the
-        // worker pool) every thread the compile fans out to.
+        // scope carries it into spans, log lines, and (via the worker
+        // pool) every thread the compile fans out to.
         self.job_seq += 1;
         let job = self.job_seq;
         let _scope = TelemetryScope::enter(job);
@@ -714,7 +682,6 @@ impl Service {
                     "job.done",
                     report.log_summary().push("elapsed_ns", elapsed_ns),
                 );
-                self.jobs_done += 1;
                 if report.stages.cache_misses > 0 {
                     self.jobs_since_checkpoint += 1;
                 }
@@ -731,7 +698,6 @@ impl Service {
                     "job.failed",
                     Json::obj().push("error", e.as_str()),
                 );
-                self.jobs_failed += 1;
                 (resp.push("ok", false).push("error", e), false)
             }
         }
@@ -768,126 +734,101 @@ impl Service {
     }
 }
 
-/// Serves line-delimited requests from stdin, answering on stdout.
-fn serve_stdin(mut service: Service, queue_limit: usize, line_limit: usize) -> ExitCode {
-    // The reader thread queues lines as they arrive; the compile loop
-    // drains whatever is pending into one batch, so checkpointing (and
-    // any other per-batch cost) amortizes over bursts. Admission control
-    // lives in the reader — the side that sees the queue growing — and
-    // rejections flow through the same channel so responses keep arrival
-    // order.
+/// Serves line-delimited requests from `input`, answering on `out`, until
+/// the input ends, a response cannot be written, or a `shutdown` arrives;
+/// returns `true` on shutdown. Stdin and every socket connection run
+/// through here.
+fn serve(
+    service: &mut Service,
+    mut input: impl BufRead + Send + 'static,
+    out: &mut impl Write,
+    queue_limit: usize,
+    line_limit: usize,
+) -> bool {
+    // The reader thread queues requests as they arrive; the compile loop
+    // drains whatever is pending into one batch, so journal syncs and
+    // checkpoints amortize over bursts. Admission control lives in the
+    // reader — the side that sees the queue growing — and rejections
+    // flow through the same channel so responses keep arrival order. The
+    // reader is not joined: after a `shutdown` it may block in a read only
+    // the client or the process exit ends; its next send then fails.
     let (tx, rx) = mpsc::channel::<Incoming>();
     let depth = Arc::new(AtomicUsize::new(0));
     let reader_depth = Arc::clone(&depth);
     std::thread::spawn(move || {
-        let mut stdin = std::io::stdin().lock();
         loop {
-            match next_line(&mut stdin, line_limit) {
+            let incoming = match next_line(&mut input, line_limit) {
                 Err(_) | Ok(ReadLine::Eof) => break,
-                Ok(ReadLine::Oversized(n)) => {
-                    let rejected = Incoming::Reject {
-                        id: None,
-                        reason: "oversized",
-                        error: format!(
-                            "request line of {n} bytes exceeds the {line_limit}-byte limit"
-                        ),
-                    };
-                    if tx.send(rejected).is_err() {
-                        break;
-                    }
-                }
+                Ok(ReadLine::Oversized) => Incoming::Reject {
+                    id: None,
+                    reason: "oversized",
+                    error: format!("request line exceeds the {line_limit}-byte limit"),
+                },
+                Ok(ReadLine::Line(line)) if line.trim().is_empty() => continue,
                 Ok(ReadLine::Line(line)) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let job = !is_command(&line);
-                    if job
+                    let req = Json::parse(&line).map_err(|e| e.to_string());
+                    let job = !matches!(&req, Ok(r) if r.get("cmd").is_some());
+                    let request = Request { req, job };
+                    if request.job
                         && queue_limit > 0
                         && reader_depth.load(Ordering::Acquire) >= queue_limit
                     {
-                        let id = Json::parse(&line).ok().and_then(|r| r.get("id").cloned());
-                        let rejected = Incoming::Reject {
-                            id,
+                        Incoming::Reject {
+                            id: request.id(),
                             reason: "queue_full",
                             error: format!("service queue is at its limit of {queue_limit} jobs"),
-                        };
-                        if tx.send(rejected).is_err() {
-                            break;
                         }
-                        continue;
-                    }
-                    if job {
-                        reader_depth.fetch_add(1, Ordering::AcqRel);
-                    }
-                    if tx.send(Incoming::Request(line)).is_err() {
-                        break;
+                    } else {
+                        if request.job {
+                            reader_depth.fetch_add(1, Ordering::AcqRel);
+                        }
+                        Incoming::Request(request)
                     }
                 }
+            };
+            if tx.send(incoming).is_err() {
+                break;
             }
         }
     });
-    let stdout = std::io::stdout();
     let mut shutdown = false;
     while let Ok(first) = rx.recv() {
-        let mut queue: VecDeque<Incoming> = VecDeque::new();
-        queue.push_back(first);
-        while let Ok(next) = rx.try_recv() {
-            queue.push_back(next);
-        }
-        service.batches += 1;
+        let mut queue: VecDeque<Incoming> = std::iter::once(first).chain(rx.try_iter()).collect();
+        let batch_size = queue.len();
         telemetry::counter_add("epocd.batches", 1);
         telemetry::log_event(
             LogLevel::Info,
             "batch.begin",
-            Json::obj().push("size", queue.len()),
+            Json::obj().push("size", batch_size),
         );
-        let batch_size = queue.len();
+        let mut answered = true;
         while let Some(item) = queue.pop_front() {
             // Requests already queued behind this one.
             telemetry::gauge_set("epocd.queue_depth", queue.len() as i64);
             let resp = match item {
                 Incoming::Reject { id, reason, error } => service.reject(id, reason, error),
-                Incoming::Request(line) => {
-                    let job = !is_command(&line);
-                    let (resp, stop) = service.handle(&line);
-                    if job {
+                // Graceful drain: whatever is queued behind a `shutdown` is
+                // shed with a typed rejection.
+                Incoming::Request(request) if shutdown => {
+                    service.reject(request.id(), "shutting_down", "service is shutting down".into())
+                }
+                Incoming::Request(request) => {
+                    let (resp, stop) = service.handle(request.req);
+                    if request.job {
                         depth.fetch_sub(1, Ordering::AcqRel);
                     }
                     if stop {
                         shutdown = true;
+                        queue.extend(rx.try_iter());
                     }
                     resp
                 }
             };
-            let mut out = stdout.lock();
-            let _ = writeln!(out, "{}", resp.to_string_compact());
-            let _ = out.flush();
-            if shutdown {
-                // Graceful drain: everything still queued — in this
-                // batch or on the channel — is shed with a typed
-                // rejection, then the final checkpoint runs.
-                while let Ok(next) = rx.try_recv() {
-                    queue.push_back(next);
-                }
-                for left in queue.drain(..) {
-                    let resp = match left {
-                        Incoming::Reject { id, reason, error } => {
-                            service.reject(id, reason, error)
-                        }
-                        Incoming::Request(line) => {
-                            if !is_command(&line) {
-                                depth.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            service.reject_line(
-                                &line,
-                                "shutting_down",
-                                "service is shutting down",
-                            )
-                        }
-                    };
-                    let _ = writeln!(out, "{}", resp.to_string_compact());
-                }
-                let _ = out.flush();
+            // A failed write means the client is gone: stop serving it.
+            answered = writeln!(out, "{}", resp.to_string_compact())
+                .and_then(|()| out.flush())
+                .is_ok();
+            if !answered {
                 break;
             }
         }
@@ -897,22 +838,33 @@ fn serve_stdin(mut service: Service, queue_limit: usize, line_limit: usize) -> E
             Json::obj().push("size", batch_size),
         );
         service.end_batch();
-        if shutdown {
+        if shutdown || !answered {
             break;
         }
     }
-    service.finish();
-    ExitCode::SUCCESS
+    shutdown
 }
 
-/// Serves line-delimited requests over a Unix socket, one connection at a
-/// time (responses go back on the same connection). The socket loop is
-/// synchronous — each job is answered before the next line is read — so
-/// queue-based shedding never applies; the line bound still does.
+/// Serves a Unix socket: connections are accepted one at a time and each
+/// is served by [`serve`] until it closes (responses go back on the same
+/// connection). A `shutdown` on any connection stops accepting.
 #[cfg(unix)]
-fn serve_socket(mut service: Service, path: &std::path::Path, line_limit: usize) -> ExitCode {
+fn serve_socket(
+    service: &mut Service,
+    path: &Path,
+    queue_limit: usize,
+    line_limit: usize,
+) -> ExitCode {
+    use std::os::unix::fs::FileTypeExt;
     use std::os::unix::net::UnixListener;
-    let _ = std::fs::remove_file(path);
+    // Replace only a stale socket: PATH may name a file someone needs.
+    if let Ok(meta) = std::fs::symlink_metadata(path) {
+        if !meta.file_type().is_socket() {
+            eprintln!("error: --socket {} exists and is not a socket", path.display());
+            return ExitCode::from(2);
+        }
+        let _ = std::fs::remove_file(path);
+    }
     let listener = match UnixListener::bind(path) {
         Ok(l) => l,
         Err(e) => {
@@ -922,57 +874,17 @@ fn serve_socket(mut service: Service, path: &std::path::Path, line_limit: usize)
     };
     eprintln!("epocd: listening on {}", path.display());
     for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => continue,
-        };
-        let mut reader = std::io::BufReader::new(stream);
-        let mut shutdown = false;
-        let mut jobs_in_connection = 0usize;
+        let Ok(mut stream) = stream else { continue };
+        let Ok(reader) = stream.try_clone() else { continue };
         telemetry::log_event(LogLevel::Info, "connection.accepted", Json::obj());
-        loop {
-            let resp = match next_line(&mut reader, line_limit) {
-                Err(_) | Ok(ReadLine::Eof) => break,
-                Ok(ReadLine::Oversized(n)) => service.reject(
-                    None,
-                    "oversized",
-                    format!("request line of {n} bytes exceeds the {line_limit}-byte limit"),
-                ),
-                Ok(ReadLine::Line(line)) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let (resp, stop) = service.handle(&line);
-                    jobs_in_connection += 1;
-                    shutdown = stop;
-                    resp
-                }
-            };
-            if writeln!(writer, "{}", resp.to_string_compact()).is_err() {
-                break;
-            }
-            let _ = writer.flush();
-            if shutdown {
-                break;
-            }
-        }
-        // A connection is a natural batch boundary.
-        if jobs_in_connection > 0 {
-            service.batches += 1;
-            telemetry::counter_add("epocd.batches", 1);
-            telemetry::log_event(
-                LogLevel::Info,
-                "batch.end",
-                Json::obj().push("size", jobs_in_connection),
-            );
-            service.end_batch();
-        }
-        if shutdown {
+        let input = std::io::BufReader::new(reader);
+        let stop = serve(service, input, &mut stream, queue_limit, line_limit);
+        // Wakes a reader still blocked on this connection, so it exits.
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        if stop {
             break;
         }
     }
-    service.finish();
     let _ = std::fs::remove_file(path);
     ExitCode::SUCCESS
 }
@@ -998,17 +910,23 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let service = Service::new(&args);
+    let mut service = Service::new(&args);
     let code = match &args.socket {
         #[cfg(unix)]
-        Some(path) => serve_socket(service, path, args.line_limit),
+        Some(path) => serve_socket(&mut service, path, args.queue_limit, args.line_limit),
         #[cfg(not(unix))]
         Some(_) => {
             eprintln!("error: --socket is only supported on Unix platforms");
             ExitCode::from(2)
         }
-        None => serve_stdin(service, args.queue_limit, args.line_limit),
+        None => {
+            let stdin = std::io::BufReader::new(std::io::stdin());
+            let mut stdout = std::io::stdout().lock();
+            serve(&mut service, stdin, &mut stdout, args.queue_limit, args.line_limit);
+            ExitCode::SUCCESS
+        }
     };
+    service.finish();
     telemetry::log_close();
     code
 }

@@ -42,7 +42,7 @@
 use crate::library::{CacheKey, PulseEntry, PulseLibrary};
 use crate::store::LibraryError;
 use epoc_rt::json::Json;
-use std::io::{Seek, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -88,10 +88,17 @@ pub struct JournalWriter {
     file: Mutex<JournalFile>,
 }
 
-/// The open journal, and whether it holds bytes no fsync has covered.
+/// The open journal, where its whole records end, and whether it holds
+/// bytes no fsync has covered.
 #[derive(Debug)]
 struct JournalFile {
     file: std::fs::File,
+    /// Length of the whole records: the file length at open, 0 after a
+    /// compaction, grown by each complete append.
+    whole: u64,
+    /// An append stopped partway; the next one first cuts the file back
+    /// to `whole`, so it cannot glue onto the torn record.
+    torn: bool,
     unsynced: bool,
 }
 
@@ -107,9 +114,10 @@ impl JournalWriter {
             .append(true)
             .open(path)
             .map_err(|e| io_error(path, e))?;
+        let whole = file.metadata().map_err(|e| io_error(path, e))?.len();
         Ok(Self {
             path: path.to_path_buf(),
-            file: Mutex::new(JournalFile { file, unsynced: false }),
+            file: Mutex::new(JournalFile { file, whole, torn: false, unsynced: false }),
         })
     }
 
@@ -119,35 +127,42 @@ impl JournalWriter {
 
     /// Appends one insert record. Durability is deferred to
     /// [`JournalWriter::sync`] (the service syncs per batch, not per
-    /// insert).
+    /// insert). A torn earlier append is cut off first, so it loses only
+    /// its own record.
     ///
     /// Fail point `pulse_lib.journal` simulates a crash mid-append: half
     /// the record's bytes land in the file (no newline) and the call
-    /// still reports success — chaos tests then assert the loader
-    /// tolerates the torn tail.
+    /// still reports success.
     ///
     /// # Errors
     ///
-    /// Returns [`LibraryError::Io`] when the write fails.
+    /// Returns [`LibraryError::Io`] when the cut or the write fails.
     pub fn append(
         &self,
         section: &str,
         key: &CacheKey,
         entry: &PulseEntry,
     ) -> Result<(), LibraryError> {
-        let line = record_line(section, key, entry);
+        let mut line = record_line(section, key, entry);
+        line.push('\n');
         let mut journal = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        if journal.torn {
+            let whole = journal.whole;
+            journal.file.set_len(whole).map_err(|e| self.io_err(e))?;
+        }
         journal.unsynced = true;
+        // Torn until the whole line is written. The line is ASCII, so the
+        // fault's split point is a char boundary.
+        journal.torn = true;
         if epoc_rt::faults::fail_point("pulse_lib.journal") {
-            // Torn append: the line is ASCII, so any split point is a
-            // char boundary.
             let half = &line.as_bytes()[..line.len() / 2];
             journal.file.write_all(half).map_err(|e| self.io_err(e))?;
             epoc_rt::telemetry::counter_add("pulse_lib.journal_torn", 1);
             return Ok(());
         }
         journal.file.write_all(line.as_bytes()).map_err(|e| self.io_err(e))?;
-        journal.file.write_all(b"\n").map_err(|e| self.io_err(e))?;
+        journal.whole += line.len() as u64;
+        journal.torn = false;
         epoc_rt::telemetry::counter_add("pulse_lib.journal_appends", 1);
         Ok(())
     }
@@ -181,10 +196,8 @@ impl JournalWriter {
     pub fn compact(&self) -> Result<(), LibraryError> {
         let mut journal = self.file.lock().unwrap_or_else(|e| e.into_inner());
         journal.file.set_len(0).map_err(|e| self.io_err(e))?;
-        journal
-            .file
-            .seek(std::io::SeekFrom::Start(0))
-            .map_err(|e| self.io_err(e))?;
+        journal.whole = 0;
+        journal.torn = false;
         journal.file.sync_data().map_err(|e| self.io_err(e))?;
         journal.unsynced = false;
         epoc_rt::telemetry::counter_add("pulse_lib.journal_compactions", 1);

@@ -9,16 +9,16 @@
 //!   duration) into the global registry. Nesting is tracked per thread, so
 //!   a GRAPE span opened inside the pulse stage shows up one level deeper.
 //! * **Job scopes** — [`TelemetryScope::enter`] tags the current thread
-//!   with a job (correlation) id; every span and counter delta recorded
+//!   with a job (correlation) id; every span event and log line recorded
 //!   under it carries that id, and `epoc_rt::pool` propagates the id into
-//!   its worker threads, so concurrent service jobs stay distinguishable
-//!   in one shared registry.
+//!   its worker threads, so service jobs stay distinguishable in one
+//!   shared registry.
 //! * **Counters** — [`counter_add`] accumulates monotonically. Addition is
 //!   commutative, so totals are *deterministic at any worker count* even
 //!   though worker threads race on the registry lock — the property that
 //!   lets the instrumented pipeline keep its byte-identical-report
-//!   guarantee. Deltas recorded inside a job scope are additionally
-//!   accumulated per `(job, counter)`.
+//!   guarantee. Counters are keyed by name only, so a long-running
+//!   service's registry does not grow with the jobs it serves.
 //! * **Gauges** — [`gauge_set`]/[`gauge_add`] hold point-in-time levels
 //!   (queue depth, inflight jobs, library resident bytes) that go up and
 //!   down, unlike counters.
@@ -72,8 +72,8 @@ thread_local! {
     static TID: Cell<u64> = const { Cell::new(u64::MAX) };
     /// Current span nesting depth on this thread.
     static DEPTH: Cell<u32> = const { Cell::new(0) };
-    /// Job (correlation) id attributed to spans and counter deltas
-    /// recorded on this thread. 0 = unattributed.
+    /// Job (correlation) id attributed to spans and log lines recorded on
+    /// this thread. 0 = unattributed.
     static JOB: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -98,9 +98,9 @@ pub fn current_job() -> u64 {
     JOB.with(Cell::get)
 }
 
-/// RAII job scope: while the guard lives, spans and counter deltas on
-/// this thread (and on pool workers computing on its behalf) are
-/// attributed to `job`. Scopes nest; dropping restores the previous id.
+/// RAII job scope: while the guard lives, spans and log lines on this
+/// thread (and on pool workers computing on its behalf) are attributed
+/// to `job`. Scopes nest; dropping restores the previous id.
 ///
 /// Job ids are caller-assigned correlation ids — `epocd` uses a per-job
 /// monotone sequence number. Id 0 means "unattributed" and is what
@@ -245,10 +245,6 @@ struct Registry {
     epoch: Instant,
     events: Vec<SpanEvent>,
     counters: BTreeMap<&'static str, u64>,
-    /// Per-job slices of the counters: `(job, name) → delta sum` for
-    /// deltas recorded inside a [`TelemetryScope`]. The global totals in
-    /// `counters` always include these — this map only attributes them.
-    job_counters: BTreeMap<(u64, &'static str), u64>,
     gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
@@ -259,7 +255,6 @@ impl Registry {
             epoch: Instant::now(),
             events: Vec::new(),
             counters: BTreeMap::new(),
-            job_counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
         }
@@ -376,21 +371,15 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
 }
 
 /// Adds `delta` to the counter `name`. Counters merge by addition, so the
-/// total is deterministic regardless of which thread recorded what. A
-/// delta recorded inside a [`TelemetryScope`] is also attributed to the
-/// active job (see [`job_counters_snapshot`]). When telemetry is disabled
-/// this is one atomic load.
+/// total is deterministic regardless of which thread recorded what. When
+/// telemetry is disabled this is one atomic load.
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
     if !is_enabled() || delta == 0 {
         return;
     }
-    let job = current_job();
     let mut r = registry().lock().unwrap();
     *r.counters.entry(name).or_insert(0) += delta;
-    if job != 0 {
-        *r.job_counters.entry((job, name)).or_insert(0) += delta;
-    }
 }
 
 /// Sets the gauge `name` to `value`. A gauge is a point-in-time level
@@ -471,19 +460,6 @@ pub fn counters_snapshot() -> Vec<(String, u64)> {
         .counters
         .iter()
         .map(|(k, v)| (k.to_string(), *v))
-        .collect()
-}
-
-/// Snapshot of the per-job counter attribution, sorted by `(job, name)`.
-/// Only deltas recorded inside a [`TelemetryScope`] appear here; the
-/// global totals from [`counters_snapshot`] include them too.
-pub fn job_counters_snapshot() -> Vec<(u64, String, u64)> {
-    registry()
-        .lock()
-        .unwrap()
-        .job_counters
-        .iter()
-        .map(|((job, name), v)| (*job, name.to_string(), *v))
         .collect()
 }
 
@@ -619,11 +595,10 @@ fn prom_name(name: &str) -> String {
 const PROM_QUANTILES: [(&str, f64); 3] = [("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)];
 
 /// Renders counters, gauges, and histogram summaries in the Prometheus
-/// text exposition format. Counters recorded inside job scopes are
-/// additionally exposed with a `job="N"` label; histograms become
-/// summaries with p50/p95/p99 quantiles plus `_sum`/`_count`. The output
-/// is deterministically sorted (families by name, series by job id), so
-/// two dumps of the same registry state are byte-identical.
+/// text exposition format. Histograms become summaries with p50/p95/p99
+/// quantiles plus `_sum`/`_count`. The output is deterministically sorted
+/// (families by name), so two dumps of the same registry state are
+/// byte-identical.
 pub fn prometheus_text() -> String {
     use std::fmt::Write as _;
     let r = registry().lock().unwrap();
@@ -632,13 +607,6 @@ pub fn prometheus_text() -> String {
         let p = prom_name(name);
         let _ = writeln!(out, "# TYPE {p} counter");
         let _ = writeln!(out, "{p} {value}");
-        // BTreeMap order is (job, name); filtering per name keeps series
-        // sorted by job id.
-        for ((job, jname), jvalue) in &r.job_counters {
-            if jname == name {
-                let _ = writeln!(out, "{p}{{job=\"{job}\"}} {jvalue}");
-            }
-        }
     }
     for (name, value) in &r.gauges {
         let p = prom_name(name);
@@ -727,7 +695,7 @@ pub fn chrome_trace() -> Json {
 
 /// Renders counters, gauges, and histograms as an aligned,
 /// human-readable text block (the `epocc --metrics` dump). Spans are
-/// summarized per name; per-job counter slices are summarized per job.
+/// summarized per name.
 /// Every section iterates a `BTreeMap`, so the dump is deterministically
 /// sorted — two dumps of the same registry state are byte-identical.
 pub fn metrics_text() -> String {
@@ -760,12 +728,6 @@ pub fn metrics_text() -> String {
                 h.percentile(0.95),
                 h.percentile(0.99),
             );
-        }
-    }
-    if !r.job_counters.is_empty() {
-        out.push_str("per-job counters:\n");
-        for ((job, name), value) in &r.job_counters {
-            let _ = writeln!(out, "  job={job} {name:<26} {value}");
         }
     }
     // Per-name span roll-up: count and total time.
@@ -1038,6 +1000,8 @@ mod tests {
         assert_eq!(one.percentile(0.99), 37);
     }
 
+    /// Scopes attribute spans; counters stay keyed by name, so adds inside
+    /// and outside scopes land in one total and no per-job state appears.
     #[test]
     fn scopes_attribute_counters_and_spans() {
         let _guard = lock();
@@ -1058,15 +1022,7 @@ mod tests {
         }
         assert_eq!(current_job(), 0, "outer scope did not restore");
         disable();
-        assert_eq!(counter_value("test.jobs.work"), 111);
-        let jobs = job_counters_snapshot();
-        assert_eq!(
-            jobs,
-            vec![
-                (7, "test.jobs.work".to_string(), 10),
-                (8, "test.jobs.work".to_string(), 100),
-            ]
-        );
+        assert_eq!(counters_snapshot(), vec![("test.jobs.work".to_string(), 111)]);
         let events = events_snapshot();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].job, 8, "span not attributed to its scope");
@@ -1128,7 +1084,7 @@ mod tests {
         let _scope = TelemetryScope::enter(3);
         counter_add("test.off.counter", 2);
         assert_eq!(gauge_value("test.off.gauge"), 0);
-        assert!(job_counters_snapshot().is_empty());
+        assert!(counters_snapshot().is_empty());
     }
 
     #[test]
@@ -1146,8 +1102,6 @@ mod tests {
                 counter_add(names[i], (i + 1) as u64);
                 gauge_set(names[i], i as i64);
                 histogram_record(names[i], 1 << i);
-                let _s = TelemetryScope::enter((i + 1) as u64);
-                counter_add(names[i], 5);
             }
             disable();
             let out = (metrics_text(), prometheus_text());
@@ -1178,7 +1132,7 @@ mod tests {
         let text = prometheus_text();
         assert!(text.contains("# TYPE epoc_test_prom_hits counter"), "{text}");
         assert!(text.contains("epoc_test_prom_hits 7"), "{text}");
-        assert!(text.contains("epoc_test_prom_hits{job=\"2\"} 4"), "{text}");
+        assert!(!text.contains("job="), "per-job series: {text}");
         assert!(text.contains("# TYPE epoc_test_prom_depth gauge"), "{text}");
         assert!(text.contains("epoc_test_prom_depth 6"), "{text}");
         assert!(text.contains("# TYPE epoc_test_prom_lat_ns summary"), "{text}");

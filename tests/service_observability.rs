@@ -1,7 +1,7 @@
 //! Observability suite for the `epocd` service: job-scoped attribution,
 //! gauges, percentiles, the structured JSONL log, and the live metrics
-//! exposition — driven through the real binaries, the same way an
-//! operator would see them.
+//! exposition and its bounded size — driven through the real binaries,
+//! the same way an operator would see them.
 //!
 //! The invariant underneath all of it: telemetry is strictly off the
 //! report path. These tests read *only* the observability artifacts;
@@ -47,25 +47,21 @@ fn as_u64(j: Option<&Json>) -> u64 {
     j.and_then(Json::as_f64).map(|f| f as u64).unwrap_or(0)
 }
 
-/// Two identical jobs through one daemon: `stats` must expose gauges,
-/// latency percentiles, and per-job counter summaries that tell the two
-/// jobs apart — job 1 paid the misses and the GRAPE time, job 2 rode the
-/// cache — and the `metrics` command must expose the same story as
-/// Prometheus text with `job="N"` labels and summary quantiles.
+/// Two identical jobs through one daemon: `stats` must expose gauges and
+/// latency percentiles, the two reports must tell the jobs apart — job 1
+/// paid the misses and the GRAPE time, job 2 rode the cache — and the
+/// `metrics` command must expose the service totals as Prometheus text
+/// with summary quantiles and no per-job series. After 20 more jobs,
+/// `stats` has the same key paths and `metrics` as many lines: the
+/// daemon's telemetry does not grow with the jobs it serves.
 #[test]
 fn epocd_stats_and_metrics_attribute_jobs() {
-    let (stdout, _) = run_epocd(
-        &[],
-        concat!(
-            r#"{"id":1,"bench":"qaoa_n6"}"#, "\n",
-            r#"{"id":2,"bench":"qaoa_n6"}"#, "\n",
-            r#"{"cmd":"stats"}"#, "\n",
-            r#"{"cmd":"metrics"}"#, "\n",
-            r#"{"cmd":"shutdown"}"#, "\n",
-        ),
-    );
+    let job = "{\"id\":1,\"bench\":\"qaoa_n6\"}\n";
+    let probe = "{\"cmd\":\"stats\"}\n{\"cmd\":\"metrics\"}\n";
+    let input = [&job.repeat(2), probe, &job.repeat(20), probe, "{\"cmd\":\"shutdown\"}\n"];
+    let (stdout, _) = run_epocd(&[], &input.concat());
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 5, "expected 5 response lines: {stdout}");
+    assert_eq!(lines.len(), 27, "expected 27 response lines: {stdout}");
 
     let stats = parse_stats(lines[2]);
     let gauges = stats.get("gauges").expect("stats.gauges missing");
@@ -91,14 +87,13 @@ fn epocd_stats_and_metrics_attribute_jobs() {
     let (p50, p95, p99) = (as_u64(lat.get("p50")), as_u64(lat.get("p95")), as_u64(lat.get("p99")));
     assert!(p50 > 0 && p50 <= p95 && p95 <= p99, "bad quantile order: {p50} {p95} {p99}");
 
-    let jobs = stats.get("jobs_by_id").expect("stats.jobs_by_id missing");
-    let job1 = jobs.get("1").expect("job 1 summary missing");
-    let job2 = jobs.get("2").expect("job 2 summary missing");
-    assert!(as_u64(job1.get("pulse_lib.misses")) > 0, "job 1 (cold) shows no misses: {job1:?}");
-    assert!(as_u64(job1.get("grape.iterations")) > 0, "job 1 (cold) shows no GRAPE work");
-    assert_eq!(as_u64(job2.get("pulse_lib.misses")), 0, "job 2 (warm) shows misses: {job2:?}");
-    assert_eq!(as_u64(job2.get("grape.iterations")), 0, "job 2 (warm) shows GRAPE work");
-    assert!(as_u64(job2.get("pulse_lib.hits")) > 0, "job 2 (warm) shows no hits");
+    let stages = |line: &str| Json::parse(line).unwrap().get("report").unwrap().get("stages").cloned();
+    let (job1, job2) = (stages(lines[0]).unwrap(), stages(lines[1]).unwrap());
+    assert!(as_u64(job1.get("cache_misses")) > 0, "job 1 (cold) shows no misses: {job1:?}");
+    assert!(as_u64(job1.get("grape_iterations")) > 0, "job 1 (cold) shows no GRAPE work");
+    assert_eq!(as_u64(job2.get("cache_misses")), 0, "job 2 (warm) shows misses: {job2:?}");
+    assert_eq!(as_u64(job2.get("grape_iterations")), 0, "job 2 (warm) shows GRAPE work");
+    assert!(as_u64(job2.get("cache_hits")) > 0, "job 2 (warm) shows no hits");
 
     let metrics = Json::parse(lines[3])
         .expect("metrics response is not JSON")
@@ -108,16 +103,21 @@ fn epocd_stats_and_metrics_attribute_jobs() {
         .to_string();
     assert!(metrics.contains("# TYPE epoc_epocd_jobs counter"), "{metrics}");
     assert!(metrics.contains("epoc_epocd_jobs 2"), "{metrics}");
-    assert!(metrics.contains("epoc_epocd_jobs{job=\"1\"} 1"), "{metrics}");
-    assert!(metrics.contains("epoc_epocd_jobs{job=\"2\"} 1"), "{metrics}");
     assert!(metrics.contains("# TYPE epoc_pulse_lib_resident_bytes gauge"), "{metrics}");
     assert!(
         metrics.contains("epoc_epocd_job_latency_ns{quantile=\"0.99\"}"),
         "no p99 summary sample: {metrics}"
     );
-    // Job 2 never missed: the per-job miss series must not name it.
-    assert!(metrics.contains("epoc_pulse_lib_misses{job=\"1\"}"), "{metrics}");
-    assert!(!metrics.contains("epoc_pulse_lib_misses{job=\"2\"}"), "{metrics}");
+    assert!(!metrics.contains("job=\""), "per-job series in the exposition: {metrics}");
+
+    assert!(lines[24].contains(r#""jobs":22,"#), "{}", lines[24]);
+    // Every `stats` value is an integer, so without its digits the answer
+    // is its key paths at every nesting level.
+    let keys = |stats: &str| stats.replace(|c: char| c.is_ascii_digit(), "");
+    assert_eq!(keys(lines[2]), keys(lines[24]), "stats grew with the jobs served");
+    let exposition = |line: &str| Json::parse(line).unwrap().get("metrics").cloned();
+    let count = |line| exposition(line).as_ref().and_then(Json::as_str).map(|m| m.lines().count());
+    assert_eq!(count(lines[3]), count(lines[25]), "metrics grew with the jobs served");
 }
 
 /// Cold→warm restart, watched through the observability surface: the
@@ -252,6 +252,14 @@ fn trace_check_validates_logs_and_metrics() {
     let bad = Command::new(check).args(["--require-jobs", "--log"]).arg(&jobless).output().unwrap();
     assert!(!bad.status.success(), "trace_check accepted a job-free log");
 
+    // A per-job series fails --require-jobs: it grows with every job.
+    let per_job = temp_path("per-job.prom");
+    let prom = "# TYPE epoc_x summary\nepoc_x{quantile=\"0.5\"} 1\nepoc_x{job=\"1\"} 1\n";
+    std::fs::write(&per_job, prom).unwrap();
+    let mut bad = Command::new(check);
+    bad.args(["--require-jobs", "--log"]).arg(&log).arg("--metrics").arg(&per_job);
+    assert!(!bad.output().unwrap().status.success(), "trace_check accepted a per-job series");
+
     // Truncated exposition (no samples) must fail.
     let empty = temp_path("empty.prom");
     std::fs::write(&empty, "# TYPE epoc_x counter\n").unwrap();
@@ -261,6 +269,7 @@ fn trace_check_validates_logs_and_metrics() {
     std::fs::remove_file(&log).ok();
     std::fs::remove_file(&metrics_line).ok();
     std::fs::remove_file(&jobless).ok();
+    std::fs::remove_file(&per_job).ok();
     std::fs::remove_file(&empty).ok();
 }
 

@@ -1,7 +1,7 @@
 //! Service-resilience suite: the write-ahead journal (property-tested
 //! replay, torn-tail recovery at every truncation offset, kill -9
-//! losslessness) and epocd's admission control, panic isolation, and
-//! graceful shutdown drain.
+//! losslessness, torn appends) and epocd's admission control, panic
+//! isolation, and graceful shutdown drain, on stdin and on a socket.
 
 use epoc_circuit::Gate;
 use epoc_qoc::{
@@ -192,15 +192,11 @@ fn kill_nine_mid_batch_loses_no_completed_inserts() {
 }
 
 /// Sends one request line and reads its one response line.
-fn request(
-    stdin: &mut std::process::ChildStdin,
-    stdout: &mut BufReader<std::process::ChildStdout>,
-    line: &str,
-) -> String {
-    writeln!(stdin, "{line}").unwrap();
-    stdin.flush().unwrap();
+fn request(out: &mut impl Write, input: &mut impl BufRead, line: &str) -> String {
+    writeln!(out, "{line}").unwrap();
+    out.flush().unwrap();
     let mut resp = String::new();
-    stdout.read_line(&mut resp).unwrap();
+    input.read_line(&mut resp).unwrap();
     resp
 }
 
@@ -386,4 +382,115 @@ fn shutdown_drains_queued_jobs_with_typed_rejections() {
         "queued job was not typed-rejected on drain: {}",
         lines[2]
     );
+}
+
+/// A torn journal append (the `pulse_lib.journal` fault tears the first)
+/// loses only its own record: the next append cuts it off instead of
+/// gluing onto it, so a restart replays every later record and moves
+/// nothing aside.
+#[test]
+fn torn_journal_append_loses_only_that_record() {
+    let (journal, aside) = (temp_path("torn.jsonl"), temp_path("torn.jsonl.corrupt"));
+    for p in [&journal, &aside] {
+        std::fs::remove_file(p).ok();
+    }
+    let flags = ["--grape", "1", "--no-regroup", "--journal", journal.to_str().unwrap()];
+    let run = |faults: &[&str]| {
+        let (child, mut stdin, mut stdout) = spawn_epocd(&[&flags[..], faults].concat());
+        let resp = request(&mut stdin, &mut stdout, r#"{"id":1,"bench":"qaoa_n6"}"#);
+        drop(stdin);
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success());
+        (resp, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    run(&["--faults", "pulse_lib.journal=n1"]);
+    let whole = std::fs::read_to_string(&journal).unwrap().lines().count();
+    let (warm, stderr) = run(&[]);
+    assert!(!aside.exists(), "the journal was moved aside: {stderr}");
+    assert!(whole > 0 && stderr.contains(&format!("replayed {whole} pulses")), "{stderr}");
+    assert!(warm.contains(r#""cache_misses":1,"#), "not only the torn record missed: {warm}");
+    std::fs::remove_file(&journal).ok();
+}
+
+/// Starts `epocd --socket sock ARGS` and connects once it listens. The
+/// daemon's pipes are returned to stay open: `eprintln!` panics on a
+/// closed stderr.
+#[cfg(unix)]
+fn socket_epocd(
+    sock: &std::path::Path,
+    args: &[&str],
+) -> (Child, impl Sized, std::os::unix::net::UnixStream, impl BufRead) {
+    std::fs::remove_file(sock).ok();
+    let (mut child, stdin, stdout) = spawn_epocd(&[&["--socket", sock.to_str().unwrap()], args].concat());
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut line = String::new();
+    while !line.contains("listening on") {
+        line.clear();
+        assert!(stderr.read_line(&mut line).unwrap() > 0, "epocd exited before listening");
+    }
+    let stream = std::os::unix::net::UnixStream::connect(sock).unwrap();
+    (child, (stdin, stdout, stderr), stream.try_clone().unwrap(), BufReader::new(stream))
+}
+
+/// `--socket PATH` refuses a PATH that holds a regular file (exit 2,
+/// file untouched), and a long-lived socket connection is served like
+/// stdin. After a cold job, the next round trip on the same connection
+/// finds its batch ended: the `--checkpoint-every 1` checkpoint written
+/// and the journal compacted. An oversized line answers `oversized`, a
+/// burst past `--queue-limit` answers `queue_full`, and `shutdown`
+/// checkpoints, still answers the job queued behind it, exits 0 and
+/// removes the socket.
+#[cfg(unix)]
+#[test]
+fn socket_is_served_like_stdin_and_spares_other_files() {
+    let (sock, lib, journal) =
+        (temp_path("serve.sock"), temp_path("socket-lib.json"), temp_path("socket.jsonl"));
+    for p in [&lib, &journal] {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::write(&sock, "precious").unwrap();
+    let (mut child, _stdin, _stdout) = spawn_epocd(&["--socket", sock.to_str().unwrap()]);
+    let mut first = String::new();
+    BufReader::new(child.stderr.take().unwrap()).read_line(&mut first).unwrap();
+    if first.contains("listening on") {
+        child.kill().ok();
+    }
+    let status = child.wait().unwrap();
+    assert!(first.starts_with("error:") && status.code() == Some(2), "{first} {status}");
+    assert_eq!(std::fs::read_to_string(&sock).unwrap(), "precious");
+
+    let (lib_s, journal_s) = (lib.to_str().unwrap(), journal.to_str().unwrap());
+    let (mut child, _pipes, mut out, mut input) = socket_epocd(
+        &sock,
+        &["--grape", "1", "--no-regroup", "--library", lib_s, "--journal", journal_s,
+          "--checkpoint-every", "1", "--queue-limit", "1", "--line-limit", "256"],
+    );
+    let cold = request(&mut out, &mut input, r#"{"id":1,"bench":"bell_n4"}"#);
+    let stats = request(&mut out, &mut input, r#"{"cmd":"stats"}"#);
+    // Observed with the connection open, asserted once the daemon has
+    // exited, so a failure leaves no daemon behind.
+    let (checkpointed, journal_len) = (lib.exists(), journal.metadata().map(|m| m.len()).ok());
+    let mut burst = format!("{{\"id\":0,\"qasm\":\"{}\"}}\n", "x".repeat(1000));
+    for i in 2..=5 {
+        burst += &format!("{{\"id\":{i},\"bench\":\"qaoa_n6\"}}\n");
+    }
+    burst += "{\"cmd\":\"shutdown\"}\n{\"id\":6,\"bench\":\"qaoa_n6\"}\n";
+    out.write_all(burst.as_bytes()).unwrap();
+    let lines: Vec<String> = input.lines().map(Result::unwrap).collect();
+    assert!(child.wait().unwrap().success());
+    assert!(!cold.contains(r#""cache_misses":0"#), "cold job never missed: {cold}");
+    assert!(!stats.contains(r#""batches":0"#), "no batch ended: {stats}");
+    assert!(checkpointed, "no checkpoint while the connection was open");
+    assert_eq!(journal_len, Some(0), "the journal was not compacted");
+    assert_eq!(lines.len(), 7, "expected 7 burst responses: {lines:?}");
+    assert!(lines[0].contains(r#""rejected":"oversized""#), "{}", lines[0]);
+    let ok = lines[1..5].iter().filter(|l| l.contains(r#""ok":true,"report""#)).count();
+    let shed = lines[1..5].iter().filter(|l| l.contains(r#""rejected":"queue_full""#)).count();
+    assert!(ok >= 1 && shed >= 1 && ok + shed == 4, "queue limit 1, 4-job burst: {lines:?}");
+    assert!(lines[5].contains(r#""checkpoint""#), "shutdown did not checkpoint: {}", lines[5]);
+    assert!(lines[6].contains(r#""id":6"#) && lines[6].contains("rejected"), "{}", lines[6]);
+    assert!(!sock.exists(), "the socket file outlived the daemon");
+    for p in [&lib, &journal] {
+        std::fs::remove_file(p).ok();
+    }
 }

@@ -184,10 +184,11 @@ fn trace_counters_match_report_and_registry() {
     );
 }
 
-/// A compile under a `TelemetryScope` attributes *everything* to the
-/// scoped job — every span event (including those recorded on worker
-/// threads the pipeline fanned out to) and every counter delta — and the
-/// attribution survives the Chrome-trace round trip as `args.job`.
+/// A compile under a `TelemetryScope` attributes every span event to the
+/// scoped job — including those recorded on worker threads the pipeline
+/// fanned out to — and the attribution survives the Chrome-trace round
+/// trip as `args.job`. Counters stay keyed by name: the scope leaves
+/// their totals as they are.
 #[test]
 fn scoped_compile_attributes_spans_and_counters_to_the_job() {
     let _guard = lock();
@@ -214,16 +215,10 @@ fn scoped_compile_attributes_spans_and_counters_to_the_job() {
         "2-worker compile recorded no worker-thread spans — pool propagation untested"
     );
 
-    // Counters recorded under the scope appear in the per-job table, and
-    // the job view agrees with the global one (this was the only job).
-    let jobs = telemetry::job_counters_snapshot();
-    let job_grape: u64 = jobs
-        .iter()
-        .filter(|(j, n, _)| *j == 42 && n == "grape.iterations")
-        .map(|(_, _, v)| *v)
-        .sum();
-    assert_eq!(job_grape as usize, report.stages.grape_iterations);
-    assert_eq!(job_grape, telemetry::counter_value("grape.iterations"));
+    assert_eq!(
+        telemetry::counter_value("grape.iterations") as usize,
+        report.stages.grape_iterations
+    );
 
     // The exported trace carries the id on every event.
     let doc = telemetry::chrome_trace();
