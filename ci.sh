@@ -86,29 +86,35 @@ if [ "$quick" -eq 0 ]; then
     run ./target/release/trace_check --require-recovery target/chaos-smoke.json
 fi
 
-# service-smoke: pipe two identical jobs into the epocd compilation
-# service with a persistent library. Both reports must verify; the second
+# service-smoke: pipe three identical jobs into the epocd compilation
+# service with a persistent library. Every report must verify; the second
 # must be served entirely from the warm cache (zero misses, zero GRAPE
-# iterations). Then restart the daemon on the persisted library file, with
-# the journal and `--checkpoint-every 1` the benchmark's warm daemons use,
-# and demand the warm start survives the process boundary and the
-# warm-only session leaves the library file's bytes as they were.
+# iterations), and the third must skip ZX, synthesis and verification
+# (`stats` counts one front-half memo hit). Then restart the daemon on the
+# persisted library file, with the journal and `--checkpoint-every 1` the
+# benchmark's warm daemons use, and demand the warm start survives the
+# process boundary and the warm-only session leaves the library file's
+# bytes as they were.
 if [ "$quick" -eq 0 ]; then
     rm -f target/service-smoke-lib.json
-    echo "==> epocd service-smoke (cold run, 2 jobs)" >&2
+    echo "==> epocd service-smoke (cold run, 3 jobs)" >&2
     printf '%s\n' \
         '{"id":1,"bench":"qaoa_n6"}' \
         '{"id":2,"bench":"qaoa_n6"}' \
+        '{"id":3,"bench":"qaoa_n6"}' \
+        '{"cmd":"stats"}' \
         '{"cmd":"shutdown"}' \
         | ./target/release/epocd --grape 1 --no-regroup \
             --library target/service-smoke-lib.json \
         > target/service-smoke.out
-    [ "$(grep -c '"ok":true' target/service-smoke.out)" -ge 3 ] \
-        || { echo "service-smoke: a job or the shutdown checkpoint failed" >&2; exit 1; }
+    [ "$(grep -c '"ok":true' target/service-smoke.out)" -ge 5 ] \
+        || { echo "service-smoke: a job, stats or the shutdown checkpoint failed" >&2; exit 1; }
     sed -n 2p target/service-smoke.out | grep -q '"cache_misses":0' \
         || { echo "service-smoke: second job missed the warm cache" >&2; exit 1; }
     sed -n 2p target/service-smoke.out | grep -q '"grape_iterations":0' \
         || { echo "service-smoke: second job re-ran GRAPE" >&2; exit 1; }
+    sed -n 4p target/service-smoke.out | grep -q '"memo_hits":1' \
+        || { echo "service-smoke: the third job did not hit the front-half memo" >&2; exit 1; }
     echo "==> epocd service-smoke (restarted daemon, warm library)" >&2
     cp target/service-smoke-lib.json target/service-smoke-lib.before
     rm -f target/service-smoke.journal

@@ -108,6 +108,23 @@ impl Circuit {
         &self.ops
     }
 
+    /// A 64-bit fingerprint of the exact circuit: the register width and,
+    /// per operation, the gate's mnemonic, its parameters' bit patterns
+    /// (so `0.0` and `-0.0` differ), an opaque block's label and matrix
+    /// entries, and the qubit list. Bit-for-bit equal circuits have equal
+    /// fingerprints; a memo keyed on it still compares the circuits in
+    /// full, since distinct circuits may collide.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = epoc_rt::faults::mix(0, self.n_qubits as u64);
+        for op in &self.ops {
+            h = op.gate.fold_hash(h);
+            for &q in &op.qubits {
+                h = epoc_rt::faults::mix(h, q as u64);
+            }
+        }
+        h
+    }
+
     /// Appends a gate application.
     ///
     /// # Panics
@@ -420,5 +437,30 @@ mod tests {
         let text = bell().to_string();
         assert!(text.contains("2 qubits"));
         assert!(text.contains("cx q[0],q[1]"));
+    }
+
+    #[test]
+    fn fingerprint_sees_gates_parameter_bits_and_qubits() {
+        let fp = |ops: &[(Gate, &[usize])]| {
+            let mut c = Circuit::new(3);
+            for (gate, qubits) in ops {
+                c.push(gate.clone(), qubits);
+            }
+            c.fingerprint()
+        };
+        let base = fp(&[(Gate::RZ(0.0), &[0]), (Gate::CX, &[0, 1])]);
+        assert_eq!(base, fp(&[(Gate::RZ(0.0), &[0]), (Gate::CX, &[0, 1])]));
+        let variants = [
+            fp(&[(Gate::RZ(-0.0), &[0]), (Gate::CX, &[0, 1])]),
+            fp(&[(Gate::RX(0.0), &[0]), (Gate::CX, &[0, 1])]),
+            fp(&[(Gate::RZ(0.0), &[0]), (Gate::CX, &[1, 0])]),
+            fp(&[(Gate::RZ(0.0), &[0]), (Gate::CX, &[0, 2])]),
+            fp(&[(Gate::CX, &[0, 1]), (Gate::RZ(0.0), &[0])]),
+            Circuit::new(2).fingerprint(),
+            Circuit::new(3).fingerprint(),
+        ];
+        for (i, v) in variants.iter().enumerate() {
+            assert_ne!(base, *v, "variant {i} collides with the base circuit");
+        }
     }
 }

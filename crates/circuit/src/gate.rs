@@ -288,14 +288,43 @@ impl Gate {
 
     /// The gate's rotation/phase parameters, if any.
     pub fn params(&self) -> Vec<f64> {
+        let (params, n) = self.param_array();
+        params[..n].to_vec()
+    }
+
+    /// The parameters in a fixed array and how many of its slots are used
+    /// (no allocation, for hot paths).
+    fn param_array(&self) -> ([f64; 3], usize) {
         use Gate::*;
         match self {
             RX(t) | RY(t) | RZ(t) | Phase(t) | CRX(t) | CRY(t) | CRZ(t) | CPhase(t) | RZZ(t)
-            | RXX(t) => vec![*t],
-            U2(a, b) => vec![*a, *b],
-            U3(a, b, c) => vec![*a, *b, *c],
-            _ => vec![],
+            | RXX(t) => ([*t, 0.0, 0.0], 1),
+            U2(a, b) => ([*a, *b, 0.0], 2),
+            U3(a, b, c) => ([*a, *b, *c], 3),
+            _ => ([0.0; 3], 0),
         }
+    }
+
+    /// Folds the exact gate into hash state `h` (see
+    /// [`epoc_rt::faults::mix`]): its mnemonic, every parameter's bit
+    /// pattern (so `0.0` and `-0.0` differ), and an opaque block's label
+    /// and matrix entries.
+    pub(crate) fn fold_hash(&self, h: u64) -> u64 {
+        let mnemonic = self.name().bytes().fold(0u64, |t, b| t << 8 | u64::from(b));
+        let mut h = epoc_rt::faults::mix(h, mnemonic);
+        let (params, n) = self.param_array();
+        for p in &params[..n] {
+            h = epoc_rt::faults::mix_f64(h, *p);
+        }
+        if let Gate::Unitary { label, matrix } = self {
+            for b in label.bytes() {
+                h = epoc_rt::faults::mix(h, u64::from(b));
+            }
+            for z in matrix.as_slice() {
+                h = epoc_rt::faults::mix_f64(epoc_rt::faults::mix_f64(h, z.re), z.im);
+            }
+        }
+        h
     }
 }
 

@@ -496,28 +496,50 @@ pub struct Benchmark {
     pub circuit: Circuit,
 }
 
+/// Builds one builtin benchmark circuit.
+type Generator = fn() -> Circuit;
+
+/// The builtin benchmarks by name, in suite order: the one list both
+/// [`benchmark_suite`] and [`benchmark`] read.
+const BENCHMARKS: [(&str, Generator); 17] = [
+    ("ghz_n4", || ghz(4)),
+    ("ghz_n8", || ghz(8)),
+    ("wstate_n3", || wstate(3)),
+    ("bell_n4", bell_pair_prep),
+    ("bv_n5", || bv(4)),
+    ("bv_n8", || bv(7)),
+    ("simon_n6", || simon(3)),
+    ("bb84_n8", || bb84(8, 84)),
+    ("qaoa_n6", || qaoa(6, 2, 7)),
+    ("decod24_n4", decod24),
+    ("dnn_n8", || dnn(8, 2, 11)),
+    ("ham7_n7", ham7),
+    ("vqe_n4", || vqe(4, 3, 5)),
+    ("qft_n5", || qft(5)),
+    ("adder_n4", || adder(1)),
+    ("grover_n3", || grover(3)),
+    ("ising_n6", || hamiltonian_sim(6, 2, 0.4)),
+];
+
 /// The 17-benchmark family standing in for the paper's QASMBench set
 /// (Figures 8–10).
 pub fn benchmark_suite() -> Vec<Benchmark> {
-    vec![
-        Benchmark { name: "ghz_n4", circuit: ghz(4) },
-        Benchmark { name: "ghz_n8", circuit: ghz(8) },
-        Benchmark { name: "wstate_n3", circuit: wstate(3) },
-        Benchmark { name: "bell_n4", circuit: bell_pair_prep() },
-        Benchmark { name: "bv_n5", circuit: bv(4) },
-        Benchmark { name: "bv_n8", circuit: bv(7) },
-        Benchmark { name: "simon_n6", circuit: simon(3) },
-        Benchmark { name: "bb84_n8", circuit: bb84(8, 84) },
-        Benchmark { name: "qaoa_n6", circuit: qaoa(6, 2, 7) },
-        Benchmark { name: "decod24_n4", circuit: decod24() },
-        Benchmark { name: "dnn_n8", circuit: dnn(8, 2, 11) },
-        Benchmark { name: "ham7_n7", circuit: ham7() },
-        Benchmark { name: "vqe_n4", circuit: vqe(4, 3, 5) },
-        Benchmark { name: "qft_n5", circuit: qft(5) },
-        Benchmark { name: "adder_n4", circuit: adder(1) },
-        Benchmark { name: "grover_n3", circuit: grover(3) },
-        Benchmark { name: "ising_n6", circuit: hamiltonian_sim(6, 2, 0.4) },
-    ]
+    BENCHMARKS
+        .iter()
+        .map(|&(name, build)| Benchmark {
+            name,
+            circuit: build(),
+        })
+        .collect()
+}
+
+/// The builtin benchmark called `name`, generating only that circuit
+/// (`None` for an unknown name).
+pub fn benchmark(name: &str) -> Option<Circuit> {
+    BENCHMARKS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
 }
 
 /// The 7 circuits of the paper's Table 1.
@@ -683,6 +705,14 @@ mod tests {
         assert_eq!(dnn(4, 2, 3), dnn(4, 2, 3));
         assert_eq!(random_circuit(4, 30, 5), random_circuit(4, 30, 5));
         assert_ne!(random_circuit(4, 30, 5), random_circuit(4, 30, 6));
+    }
+
+    #[test]
+    fn every_suite_name_resolves_to_an_equal_circuit() {
+        for b in benchmark_suite() {
+            assert_eq!(benchmark(b.name), Some(b.circuit), "{}", b.name);
+        }
+        assert_eq!(benchmark("no_such_bench"), None);
     }
 
     #[test]

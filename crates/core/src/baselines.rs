@@ -7,7 +7,7 @@
 //!   cache, no ZX and no synthesis.
 
 use crate::config::{Backend, EpocConfig};
-use crate::pipeline::{schedule_partition, BackendImpl};
+use crate::pipeline::{block_unitaries, schedule_partition, BackendImpl};
 use crate::report::{CompilationReport, StageStats};
 use epoc_circuit::Circuit;
 use epoc_partition::{paqoc_partition, PaqocConfig};
@@ -89,6 +89,7 @@ impl PaqocCompiler {
         // baseline number the paper's speedups are quoted against.
         let schedule = schedule_partition(
             &partition,
+            &block_unitaries(&partition, 1),
             &self.backend,
             1,
             None,

@@ -225,10 +225,7 @@ fn parse_args() -> Args {
 
 fn load_circuit(input: &str) -> Result<Circuit, String> {
     if let Some(name) = input.strip_prefix("bench:") {
-        return generators::benchmark_suite()
-            .into_iter()
-            .find(|b| b.name == name)
-            .map(|b| b.circuit)
+        return generators::benchmark(name)
             .ok_or_else(|| format!("unknown builtin benchmark '{name}'"));
     }
     let source =

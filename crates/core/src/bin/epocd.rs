@@ -421,10 +421,7 @@ impl Service {
 
     fn load_circuit(&self, req: &Json) -> Result<Circuit, String> {
         if let Some(name) = req.get("bench").and_then(Json::as_str) {
-            return generators::benchmark_suite()
-                .into_iter()
-                .find(|b| b.name == name)
-                .map(|b| b.circuit)
+            return generators::benchmark(name)
                 .ok_or_else(|| format!("unknown builtin benchmark '{name}'"));
         }
         if let Some(src) = req.get("qasm").and_then(Json::as_str) {
@@ -549,6 +546,7 @@ impl Service {
                 .push("batches", count("epocd.batches"))
                 .push("cache_hits", self.compiler.cache_hits())
                 .push("cache_misses", self.compiler.cache_misses())
+                .push("memo_hits", count("pipeline.memo_hits"))
                 .push("library_entries", self.compiler.library_len())
                 .push("library_evictions", self.compiler.library_evictions())
                 .push("library_bytes", self.compiler.library_bytes())
@@ -901,9 +899,12 @@ fn main() -> ExitCode {
         }
     }
     // Metrics stay live for the whole daemon lifetime, but span events
-    // are a bounded-run tool: capture is off so memory stays flat.
+    // are a bounded-run tool: capture is off so memory stays flat. The
+    // memo-hit counter `stats` reports is in the exposition from the
+    // start: the first hit comes only with a circuit's third job.
     telemetry::enable();
     telemetry::set_span_capture(false);
+    telemetry::counter_declare("pipeline.memo_hits");
     if let Some(path) = &args.log {
         if let Err(e) = telemetry::log_open(path) {
             eprintln!("error: cannot open --log {}: {e}", path.display());

@@ -9,7 +9,9 @@ use std::time::Duration;
 ///
 /// Timings are observability data, not part of the deterministic report
 /// surface: the byte-determinism tests zero this struct (exactly as they
-/// zero `compile_time`) before comparing serialized reports.
+/// zero `compile_time`) before comparing serialized reports. A compile
+/// served from the front-half memo runs only the pulse stage, so its
+/// other four timings are zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// §3.1 ZX depth optimization.
@@ -18,7 +20,8 @@ pub struct StageTimings {
     pub partition: Duration,
     /// §3.3 VUG synthesis fan-out.
     pub synth: Duration,
-    /// §3.3 regrouping (or the per-gate fallback partition).
+    /// §3.3 regrouping (or the per-gate fallback partition), and the dense
+    /// unitaries of the resulting blocks.
     pub regroup: Duration,
     /// §3.4 pulse generation.
     pub pulse: Duration,

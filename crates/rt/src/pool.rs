@@ -18,7 +18,7 @@
 //! (captured at dispatch time), never with the thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Locks `m`, recovering the guard from a poisoned lock. Poisoning here
 /// means a sibling worker panicked mid-map; the result slots are still
@@ -31,10 +31,17 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The worker count to use when the caller has no preference: the
 /// machine's available parallelism, falling back to 4 if that cannot be
 /// determined.
+///
+/// Read once per process: `available_parallelism` reads cgroup files on
+/// every call (14–17 µs on a 2-CPU Linux host), which a cheap compile
+/// would otherwise pay each time.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
 }
 
 /// Applies `f` to every item of `items`, spreading the work over

@@ -382,6 +382,22 @@ pub fn counter_add(name: &'static str, delta: u64) {
     *r.counters.entry(name).or_insert(0) += delta;
 }
 
+/// Registers the counter `name` at zero unless it already exists, so the
+/// exposition lists it before its first increment and does not gain a
+/// series later in a long-running process. When telemetry is disabled
+/// this is one atomic load.
+pub fn counter_declare(name: &'static str) {
+    if !is_enabled() {
+        return;
+    }
+    registry()
+        .lock()
+        .expect("telemetry registry poisoned")
+        .counters
+        .entry(name)
+        .or_insert(0);
+}
+
 /// Sets the gauge `name` to `value`. A gauge is a point-in-time level
 /// (queue depth, inflight jobs, resident bytes) — last write wins.
 /// When telemetry is disabled this is one atomic load.
@@ -1140,6 +1156,23 @@ mod tests {
         assert!(text.contains("epoc_test_prom_lat_ns{quantile=\"0.99\"}"), "{text}");
         assert!(text.contains("epoc_test_prom_lat_ns_sum 4030"), "{text}");
         assert!(text.contains("epoc_test_prom_lat_ns_count 3"), "{text}");
+        reset();
+    }
+
+    #[test]
+    fn declared_counters_are_exposed_at_zero_and_keep_their_value() {
+        let _guard = lock();
+        reset();
+        enable();
+        counter_declare("test.declared.hits");
+        assert!(prometheus_text().contains("epoc_test_declared_hits 0"));
+        counter_add("test.declared.hits", 2);
+        counter_declare("test.declared.hits");
+        assert_eq!(counter_value("test.declared.hits"), 2);
+        disable();
+        counter_declare("test.declared.off");
+        let names: Vec<String> = counters_snapshot().into_iter().map(|(n, _)| n).collect();
+        assert!(!names.contains(&"test.declared.off".to_string()));
         reset();
     }
 

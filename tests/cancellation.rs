@@ -141,6 +141,47 @@ fn budget_degraded_entries_do_not_poison_the_library() {
     assert!(recovered.verified);
 }
 
+/// Budget-degraded synthesis never poisons the synthesis memo: after a
+/// QSearch-starved compile, an unbudgeted compile on the same compiler
+/// replays none of the budget's rungs and reports what a fresh compiler
+/// reports (its pulse-cache counters aside, since the budgeted compile
+/// warmed the library).
+#[test]
+fn budget_degraded_synthesis_does_not_poison_the_memo() {
+    let budget = Budget {
+        grape_iters: None,
+        qsearch_nodes: Some(1),
+    };
+    let without_cache_counters = |mut r: CompilationReport| {
+        r.stages.cache_hits = 0;
+        r.stages.cache_misses = 0;
+        normalized_json(r)
+    };
+    for name in ["qaoa_n6", "decod24_n4", "ham7_n7"] {
+        let circuit = epoc_circuit::generators::benchmark(name).unwrap();
+        let config = || EpocConfig::default().with_workers(2);
+        let reference = EpocCompiler::new(config()).compile(&circuit).unwrap();
+
+        let compiler = EpocCompiler::new(config());
+        let token = CancelToken::default().with_budget(budget);
+        let degraded = compiler.compile_with_cancel(&circuit, &token).unwrap();
+        assert!(
+            degraded.stages.recoveries.len() > reference.stages.recoveries.len(),
+            "{name}: a 1-node QSearch budget climbed no extra rung"
+        );
+        let recovered = compiler.compile(&circuit).unwrap();
+        assert_eq!(
+            recovered.stages.recoveries, reference.stages.recoveries,
+            "{name}: budget-degraded synthesis leaked into the memo"
+        );
+        assert_eq!(
+            without_cache_counters(reference),
+            without_cache_counters(recovered),
+            "{name}: post-budget recompile differs from a fresh compiler's"
+        );
+    }
+}
+
 /// QSearch node budgets degrade softly too: the search stops expanding
 /// and falls through, deterministically at any worker count.
 #[test]

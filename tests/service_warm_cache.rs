@@ -35,10 +35,18 @@ fn temp_lib(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("epoc-warm-{}-{name}.json", std::process::id()))
 }
 
+/// `true` when the compile skipped the front half: a front-half memo hit
+/// reports zero time for ZX, partitioning, synthesis and regrouping.
+fn memo_hit(r: &CompilationReport) -> bool {
+    let t = &r.stages.timings;
+    [t.zx, t.partition, t.synth, t.regroup] == [Duration::ZERO; 4]
+}
+
 /// Compile → persist → restart (a brand-new compiler, i.e. a cold store)
 /// → load → recompile. The warm run must do zero GRAPE iterations, miss
 /// nothing, and produce byte-identical reports at 1 and 4 workers — and
-/// match the in-process warm compile (a disk round-trip is invisible).
+/// match the in-process warm compile (a disk round-trip is invisible)
+/// and the in-process compile after it, the first front-half memo hit.
 #[test]
 fn warm_restart_hits_everything_at_any_worker_count() {
     let circuit = fixture();
@@ -56,8 +64,14 @@ fn warm_restart_hits_everything_at_any_worker_count() {
         assert!(cold.stages.cache_misses > 0);
         cold_compiler.save_library(&path).unwrap();
         // The in-process warm compile is the reference the disk round
-        // trip must be indistinguishable from.
+        // trip must be indistinguishable from. The circuit's third
+        // compile replays its front half from the memo.
         let warm_ref = cold_compiler.compile(&circuit).unwrap();
+        let warm_hit = cold_compiler.compile(&circuit).unwrap();
+        assert!(
+            memo_hit(&warm_hit),
+            "third compile missed the memo at {workers} workers"
+        );
 
         // Restarted service run: new compiler, library loaded from disk.
         let warm_compiler = EpocCompiler::new(config(workers));
@@ -78,12 +92,67 @@ fn warm_restart_hits_everything_at_any_worker_count() {
             warm_json,
             "disk round-trip changed the warm report at {workers} workers"
         );
+        assert_eq!(
+            normalized_json(warm_hit),
+            warm_json,
+            "the memo hit differs from the compile it replaces at {workers} workers"
+        );
         warm_reports.push(warm_json);
     }
     let w4 = warm_reports.pop().unwrap();
     let w1 = warm_reports.pop().unwrap();
     assert_eq!(w1, w4, "warm report differs between workers=1 and workers=4");
     std::fs::remove_file(&path).ok();
+}
+
+/// The same check over every builtin of at most 7 qubits on the modeled
+/// backend: at 1, 2 and 4 workers, a circuit's third in-process compile
+/// is a memo hit and equals both its second compile and a restarted
+/// compiler's warm compile, and the hit is the same at every worker count.
+#[test]
+fn memo_hits_equal_warm_recompiles_across_the_builtins() {
+    for bench in generators::benchmark_suite() {
+        if bench.circuit.n_qubits() > 7 {
+            continue;
+        }
+        let name = bench.name;
+        let circuit = bench.circuit;
+        let path = temp_lib(&format!("memo-{name}"));
+        let mut hits = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let config = EpocConfig::default().with_workers(workers);
+            let compiler = EpocCompiler::new(config.clone());
+            compiler.compile(&circuit).unwrap();
+            compiler.save_library(&path).unwrap();
+            let second = compiler.compile(&circuit).unwrap();
+            let hit = compiler.compile(&circuit).unwrap();
+            assert!(
+                memo_hit(&hit),
+                "{name}: third compile missed the memo at {workers} workers"
+            );
+            assert!(hit.verified, "{name}: memo hit not verified");
+
+            let restarted = EpocCompiler::new(config);
+            restarted.load_library(&path).unwrap();
+            let warm = normalized_json(restarted.compile(&circuit).unwrap());
+            let hit = normalized_json(hit);
+            assert_eq!(
+                normalized_json(second),
+                hit,
+                "{name}: hit != recompute at {workers} workers"
+            );
+            assert_eq!(
+                warm, hit,
+                "{name}: hit != restarted warm compile at {workers} workers"
+            );
+            hits.push(hit);
+        }
+        assert!(
+            hits.windows(2).all(|w| w[0] == w[1]),
+            "{name}: memo hit depends on the worker count"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// The pulse *schedule* (what actually reaches the device) is identical
