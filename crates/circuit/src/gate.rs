@@ -320,9 +320,7 @@ impl Gate {
             for b in label.bytes() {
                 h = epoc_rt::faults::mix(h, u64::from(b));
             }
-            for z in matrix.as_slice() {
-                h = epoc_rt::faults::mix_f64(epoc_rt::faults::mix_f64(h, z.re), z.im);
-            }
+            h = matrix.fold_bits(h);
         }
         h
     }

@@ -76,7 +76,8 @@ fn usage() -> ! {
          \x20              exhaustion degrades via the recovery ladder, byte-identically at any worker count\n\
          --faults SPEC  arm fault injection, e.g. 'grape.converge=always,pulse_lib.miss=p0.5'\n\
          --fault-seed N seed for probabilistic fault triggers\n\
-         --library FILE warm-start the pulse library from FILE and save it back after the compile\n\
+         --library FILE warm-start the pulse library from FILE and save it back after the compile;\n\
+         \x20              a FILE that fails to load is moved aside to FILE.corrupt first\n\
          --library-budget BYTES cap the in-memory pulse library (LRU eviction; epoc flow only)\n\
          --hw PROFILE   compile under a control-electronics model (epoc flow only);\n\
          \x20              profiles: {}\n\
@@ -314,12 +315,12 @@ fn main() -> ExitCode {
             let compiler = EpocCompiler::new(config);
             if let Some(path) = &args.library {
                 // A missing library loads 0, and a bad one never fails the
-                // compile — report the typed error and start cold
-                // (recomputing is safe).
-                match compiler.load_library(std::path::Path::new(path)) {
+                // compile: it is moved aside, as `epocd` does, before the
+                // save below writes a fresh library in its place.
+                match compiler.load_library_or_set_aside(std::path::Path::new(path)) {
                     Ok(n) if n > 0 && !args.json => eprintln!("library: warm-started {n} pulses"),
                     Ok(_) => {}
-                    Err(e) => eprintln!("warning: {e}; starting with a cold cache"),
+                    Err(warning) => eprintln!("warning: {warning}"),
                 }
             }
             // Deadline and work budgets ride one cancellation token:

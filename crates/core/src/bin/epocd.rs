@@ -320,31 +320,6 @@ struct Service {
     job_seq: u64,
 }
 
-/// Loads a library file or journal into `compiler`, returning the number
-/// of pulses restored (0 for a missing file). Every failure takes one
-/// path: warn, move the file aside to `FILE.corrupt` (a failed load
-/// applies nothing), and go on without it — recomputing its pulses is
-/// always safe, serving from a file that lies is not.
-fn load_or_set_aside(compiler: &EpocCompiler, path: &Path) -> usize {
-    compiler.load_library(path).unwrap_or_else(|e| {
-        let mut aside = path.as_os_str().to_owned();
-        aside.push(".corrupt");
-        let aside = PathBuf::from(aside);
-        match std::fs::rename(path, &aside) {
-            Ok(()) => eprintln!(
-                "epocd: warning: {e}; moved {} aside to {} and starting without it",
-                path.display(),
-                aside.display()
-            ),
-            Err(m) => eprintln!(
-                "epocd: warning: {e}; starting without {} (moving it aside failed: {m})",
-                path.display()
-            ),
-        }
-        0
-    })
-}
-
 impl Service {
     fn new(args: &Args) -> Self {
         let base = if args.grape_limit == 0 {
@@ -380,9 +355,10 @@ impl Service {
         // entries go straight to the store and are never re-journaled.
         for (path, loaded) in [(&args.library, "warm-started"), (&args.journal, "replayed")] {
             if let Some(path) = path {
-                match load_or_set_aside(&compiler, path) {
-                    0 => {}
-                    n => eprintln!("epocd: {loaded} {n} pulses from {}", path.display()),
+                match compiler.load_library_or_set_aside(path) {
+                    Ok(0) => {}
+                    Ok(n) => eprintln!("epocd: {loaded} {n} pulses from {}", path.display()),
+                    Err(warning) => eprintln!("epocd: warning: {warning}"),
                 }
             }
         }

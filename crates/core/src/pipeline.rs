@@ -678,14 +678,16 @@ impl EpocCompiler {
                 // convergence state visible to the ladder. One cancel
                 // scope spans every attempt for the block: once its node
                 // budget is spent, each escalation returns immediately
-                // and the ladder falls through to the fallback.
+                // and the ladder falls through to the fallback. A 1-qubit
+                // block skips the escalations: its search is one seeded
+                // instantiation, which no node budget changes.
                 let scope = cancel.scope();
                 let mut cfg = synth_cfg.clone();
                 let mut rungs: Vec<&'static str> = Vec::new();
                 let mut r = synthesize_with_cancel(&unitary, &cfg, &scope)?;
                 let mut nodes = r.nodes_evaluated;
                 for _ in 0..recovery.synth_budget_escalations {
-                    if r.converged {
+                    if r.converged || block.n_qubits() == 1 {
                         break;
                     }
                     cfg.max_nodes = cfg.max_nodes.saturating_mul(recovery.synth_budget_factor);
@@ -703,7 +705,7 @@ impl EpocCompiler {
                 {
                     (r.circuit, true, nodes, rungs)
                 } else {
-                    if !r.converged && !rungs.is_empty() {
+                    if !r.converged && recovery.synth_budget_escalations > 0 {
                         rungs.push(RUNG_SYNTH_FALLBACK);
                     }
                     (original, false, nodes, rungs)
@@ -862,6 +864,35 @@ impl EpocCompiler {
     pub fn load_library(&self, path: &std::path::Path) -> Result<usize, EpocError> {
         Ok(epoc_qoc::load_library_file(path, &self.backend.library_sections())?)
     }
+
+    /// [`EpocCompiler::load_library`] for a file the caller saves back to:
+    /// a file that fails to load is moved aside to `FILE.corrupt` (a
+    /// failed load applies nothing), so a later save cannot overwrite
+    /// bytes that were never a library, and the compiler starts cold
+    /// (recomputing is always safe).
+    ///
+    /// # Errors
+    ///
+    /// Returns the warning to print when the load failed: the load error
+    /// and where the file went.
+    pub fn load_library_or_set_aside(&self, path: &std::path::Path) -> Result<usize, String> {
+        self.load_library(path).map_err(|e| {
+            let mut aside = path.as_os_str().to_owned();
+            aside.push(".corrupt");
+            let aside = std::path::PathBuf::from(aside);
+            match std::fs::rename(path, &aside) {
+                Ok(()) => format!(
+                    "{e}; moved {} aside to {} and starting without it",
+                    path.display(),
+                    aside.display()
+                ),
+                Err(m) => format!(
+                    "{e}; starting without {} (moving it aside failed: {m})",
+                    path.display()
+                ),
+            }
+        })
+    }
 }
 
 /// Convenience: compile with the default (modeled-backend) configuration.
@@ -1017,6 +1048,51 @@ mod tests {
         let recompiled = compiler.compile(&small(0)).unwrap();
         assert!(!recompiled.stages.timings.zx.is_zero());
         assert_eq!(normalized_json(recompiled), hit);
+    }
+
+    /// A 1-qubit block's search is one seeded instantiation that no node
+    /// budget changes, so its ladder never escalates: across the builtins,
+    /// a 1-qubit block that misses the threshold records the fallback
+    /// alone, and one that meets it records nothing.
+    #[test]
+    fn one_qubit_blocks_skip_the_budget_rung() {
+        let config = EpocConfig::default();
+        let mut fallbacks = 0;
+        for bench in generators::benchmark_suite() {
+            let r = EpocCompiler::new(config.clone())
+                .compile(&bench.circuit)
+                .unwrap();
+            // The synthesis stage's partition, as `front_half` builds it.
+            let basis = epoc_circuit::lower_to_basis(&bench.circuit);
+            let optimized = if basis.len() <= config.zx_gate_limit {
+                zx_optimize(&basis).circuit
+            } else {
+                basis
+            };
+            let partition = greedy_partition(&optimized, config.partition);
+            for (i, block) in partition.blocks().iter().enumerate() {
+                if block.n_qubits() != 1 {
+                    continue;
+                }
+                let subject = format!("blk{i}");
+                let rungs: Vec<&str> = r
+                    .stages
+                    .recoveries
+                    .iter()
+                    .filter(|rec| rec.stage == "synth" && rec.subject == subject)
+                    .map(|rec| rec.rung)
+                    .collect();
+                let synth = epoc_synth::synthesize(&block.unitary(), &config.synth).unwrap();
+                let expected = if synth.converged {
+                    vec![]
+                } else {
+                    fallbacks += 1;
+                    vec![RUNG_SYNTH_FALLBACK]
+                };
+                assert_eq!(rungs, expected, "{} {subject}", bench.name);
+            }
+        }
+        assert!(fallbacks > 0, "no 1-qubit block missed the threshold");
     }
 
     #[test]

@@ -138,6 +138,17 @@ impl Matrix {
         self.data
     }
 
+    /// Folds every entry's bit pattern into hash state `h` with
+    /// [`epoc_rt::faults::mix`], row-major, real part before imaginary
+    /// part: bit-for-bit equal entries fold equally, and `0.0` and `-0.0`
+    /// differ. The shape is not folded in.
+    pub fn fold_bits(&self, h: u64) -> u64 {
+        use epoc_rt::faults::mix_f64;
+        self.data
+            .iter()
+            .fold(h, |h, z| mix_f64(mix_f64(h, z.re), z.im))
+    }
+
     /// Borrowed entry access without panicking.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> Option<&Complex64> {
@@ -300,9 +311,8 @@ impl Matrix {
     /// reused).
     ///
     /// Each row dot product accumulates into two interleaved partial sums
-    /// (even/odd element index) combined at the end — the same scheme on
-    /// both the SIMD and scalar dispatch paths, so results are
-    /// bit-identical across them.
+    /// (even/odd element index) combined at the end: deterministic, though
+    /// it differs from a strictly sequential sum.
     ///
     /// # Panics
     ///
@@ -315,7 +325,15 @@ impl Matrix {
             return;
         }
         for (slot, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            *slot = simd::dot_pairs(row, v);
+            let (mut even, mut odd) = (Complex64::ZERO, Complex64::ZERO);
+            for (m, x) in row.chunks_exact(2).zip(v.chunks_exact(2)) {
+                even += m[0] * x[0];
+                odd += m[1] * x[1];
+            }
+            *slot = even + odd;
+            if self.cols % 2 == 1 {
+                *slot += row[self.cols - 1] * v[self.cols - 1];
+            }
         }
     }
 
@@ -355,7 +373,9 @@ impl Matrix {
                 for p in 0..rhs.rows {
                     let base = (i * rhs.rows + p) * oc + j * rhs.cols;
                     let src = &rhs.data[p * rhs.cols..(p + 1) * rhs.cols];
-                    simd::cscale_row(&mut out.data[base..base + rhs.cols], src, a);
+                    for (d, &r) in out.data[base..base + rhs.cols].iter_mut().zip(src) {
+                        *d = a * r;
+                    }
                 }
             }
         }

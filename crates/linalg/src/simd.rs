@@ -222,131 +222,6 @@ unsafe fn cmul_bcast(
 }
 
 // ---------------------------------------------------------------------------
-// Kernel: complex dot product (matvec inner loop)
-// ---------------------------------------------------------------------------
-
-/// Dot product `Σ_k row[k]·v[k]` with two interleaved partial accumulators
-/// (even-index and odd-index elements), combined as `even + odd` at the
-/// end. Both dispatch paths use this exact accumulation scheme, so the
-/// result is bit-identical between them (and deterministic, though it
-/// differs from a strictly sequential sum).
-#[inline]
-pub(crate) fn dot_pairs(row: &[Complex64], v: &[Complex64]) -> Complex64 {
-    debug_assert_eq!(row.len(), v.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2+FMA availability was checked by `simd_active`.
-        return unsafe { dot_pairs_avx2(row, v) };
-    }
-    dot_pairs_scalar(row, v)
-}
-
-#[inline]
-fn dot_pairs_scalar(row: &[Complex64], v: &[Complex64]) -> Complex64 {
-    let n = row.len();
-    let n2 = n & !1;
-    let (mut re0, mut im0, mut re1, mut im1) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut k = 0;
-    while k < n2 {
-        let (m0, x0) = (row[k], v[k]);
-        let (m1, x1) = (row[k + 1], v[k + 1]);
-        re0 += m0.re * x0.re - m0.im * x0.im;
-        im0 += m0.re * x0.im + m0.im * x0.re;
-        re1 += m1.re * x1.re - m1.im * x1.im;
-        im1 += m1.re * x1.im + m1.im * x1.re;
-        k += 2;
-    }
-    let mut re = re0 + re1;
-    let mut im = im0 + im1;
-    if n2 < n {
-        let (m, x) = (row[n2], v[n2]);
-        re += m.re * x.re - m.im * x.im;
-        im += m.re * x.im + m.im * x.re;
-    }
-    Complex64::new(re, im)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_pairs_avx2(row: &[Complex64], v: &[Complex64]) -> Complex64 {
-    use std::arch::x86_64::*;
-    let n = row.len();
-    let n2 = n & !1;
-    let rp = row.as_ptr() as *const f64;
-    let vp = v.as_ptr() as *const f64;
-    let mut acc = _mm256_setzero_pd();
-    let mut k = 0;
-    while k < n2 {
-        let vm = _mm256_loadu_pd(rp.add(2 * k)); // [mr0, mi0, mr1, mi1]
-        let vx = _mm256_loadu_pd(vp.add(2 * k)); // [xr0, xi0, xr1, xi1]
-        let vmr = _mm256_movedup_pd(vm); // [mr0, mr0, mr1, mr1]
-        let vmi = _mm256_permute_pd(vm, 0b1111); // [mi0, mi0, mi1, mi1]
-        let t1 = _mm256_mul_pd(vmr, vx);
-        let vxs = _mm256_permute_pd(vx, 0b0101); // [xi0, xr0, xi1, xr1]
-        let t2 = _mm256_mul_pd(vmi, vxs);
-        acc = _mm256_add_pd(acc, _mm256_addsub_pd(t1, t2));
-        k += 2;
-    }
-    // Lanes: [re_even, im_even, re_odd, im_odd] — combine as even + odd,
-    // matching the scalar twin's accumulator merge.
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut re = lanes[0] + lanes[2];
-    let mut im = lanes[1] + lanes[3];
-    if n2 < n {
-        let (m, x) = (row[n2], v[n2]);
-        re += m.re * x.re - m.im * x.im;
-        im += m.re * x.im + m.im * x.re;
-    }
-    Complex64::new(re, im)
-}
-
-// ---------------------------------------------------------------------------
-// Kernel: row scaling (kron inner loop)
-// ---------------------------------------------------------------------------
-
-/// `dst[j] = a · src[j]` for every `j` — one scaled-row copy of `kron_into`.
-#[inline]
-pub(crate) fn cscale_row(dst: &mut [Complex64], src: &[Complex64], a: Complex64) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: AVX2+FMA availability was checked by `simd_active`.
-        unsafe { cscale_row_avx2(dst, src, a) };
-        return;
-    }
-    cscale_row_scalar(dst, src, a);
-}
-
-#[inline]
-fn cscale_row_scalar(dst: &mut [Complex64], src: &[Complex64], a: Complex64) {
-    for (d, &r) in dst.iter_mut().zip(src) {
-        *d = a * r;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn cscale_row_avx2(dst: &mut [Complex64], src: &[Complex64], a: Complex64) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let n2 = n & !1;
-    let var = _mm256_set1_pd(a.re);
-    let vai = _mm256_set1_pd(a.im);
-    let dp = dst.as_mut_ptr() as *mut f64;
-    let sp = src.as_ptr() as *const f64;
-    let mut j = 0;
-    while j < n2 {
-        let v = _mm256_loadu_pd(sp.add(2 * j));
-        _mm256_storeu_pd(dp.add(2 * j), cmul_bcast(var, vai, v));
-        j += 2;
-    }
-    if n2 < n {
-        dst[n2] = a * src[n2];
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Kernel: 2x2 rotation mix over paired slices (synthesis Givens updates)
 // ---------------------------------------------------------------------------
 
@@ -733,27 +608,6 @@ mod tests {
             mm4(&a, &b, &mut o);
             o
         });
-    }
-
-    #[test]
-    fn dot_pairs_paths_bit_identical() {
-        for n in [1usize, 2, 3, 5, 8, 15, 32] {
-            let r = rand_slice(n as u64, n);
-            let v = rand_slice(n as u64 + 100, n);
-            run_both(|| dot_pairs(&r, &v));
-        }
-    }
-
-    #[test]
-    fn cscale_row_paths_bit_identical() {
-        for n in [1usize, 2, 5, 8, 17] {
-            let src = rand_slice(n as u64 + 7, n);
-            run_both(|| {
-                let mut dst = vec![Complex64::ZERO; n];
-                cscale_row(&mut dst, &src, c64(0.6, -1.2));
-                dst
-            });
-        }
     }
 
     #[test]

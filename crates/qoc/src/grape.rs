@@ -55,12 +55,7 @@ impl std::error::Error for GrapeError {}
 /// Deterministic fingerprint of a matrix for fault-injection keys: the
 /// same target draws the same injected fate at any worker count.
 pub fn fault_fingerprint(m: &Matrix) -> u64 {
-    let mut h = faults::mix(0, m.rows() as u64);
-    for z in m.as_slice() {
-        h = faults::mix(h, z.re.to_bits());
-        h = faults::mix(h, z.im.to_bits());
-    }
-    h
+    m.fold_bits(faults::mix(0, m.rows() as u64))
 }
 
 /// Gradient flavor for the ablation bench.
@@ -132,9 +127,8 @@ struct SlotScratch {
     /// `H(u_s)`, rebuilt in place on a cache miss.
     h: Matrix,
     /// Eigensystem of `h`. On a cache miss the eigensolver warm-starts
-    /// from the basis held here (the slot's previous one, or the drift
-    /// bundle's after an adoption) and overwrites it in place; all
-    /// downstream products reuse the buffers below.
+    /// from the slot's previous basis held here and overwrites it in
+    /// place; all downstream products reuse the buffers below.
     eig: HermitianEig,
     /// `V†` — hoisted once per slot and shared by the propagator build and
     /// the gradient back-conjugation.
@@ -183,21 +177,6 @@ impl SlotScratch {
             cache_valid: false,
         }
     }
-
-    /// Adopts another slot's computed bundle (used to seed all-zero slots
-    /// from the hoisted drift eigendecomposition, which [`prepare_slot`]
-    /// computed on the same all-zero amplitudes).
-    fn copy_bundle_from(&mut self, src: &SlotScratch) {
-        self.h.copy_from(&src.h);
-        self.eig.values.clone_from(&src.eig.values);
-        self.eig.vectors.clone_from(&src.eig.vectors);
-        self.vdag.copy_from(&src.vdag);
-        self.phases.clone_from(&src.phases);
-        self.prop.copy_from(&src.prop);
-        self.phi.copy_from(&src.phi);
-        self.phi_built = src.phi_built;
-        self.cache_valid = true;
-    }
 }
 
 /// Reusable buffers for the GRAPE iteration loop.
@@ -212,12 +191,8 @@ impl SlotScratch {
 /// depends, at rounding level, on the control sets the workspace evaluated
 /// before. A fresh workspace per [`grape`] run keeps every run a pure
 /// function of its inputs.
-pub struct GrapeWorkspace {
+struct GrapeWorkspace {
     slots: Vec<SlotScratch>,
-    /// Drift-Hamiltonian bundle, computed once per [`grape`] run (outside
-    /// the iteration loop) and adopted by any slot whose amplitudes are
-    /// all exactly `+0.0`.
-    drift: Option<Box<SlotScratch>>,
     /// `prefix[s] = U_{s-1}···U_0` for `s < n_slots` (`prefix[0] = I`,
     /// never overwritten).
     prefix: Vec<Matrix>,
@@ -230,7 +205,7 @@ pub struct GrapeWorkspace {
 
 impl GrapeWorkspace {
     /// Allocates buffers for a `(device, n_slots)` problem shape.
-    pub fn new(device: &DeviceModel, n_slots: usize) -> Self {
+    fn new(device: &DeviceModel, n_slots: usize) -> Self {
         let dim = device.dim();
         let n_ctrl = device.controls().len();
         let zero = || Matrix::zeros(dim, dim);
@@ -241,7 +216,6 @@ impl GrapeWorkspace {
         }
         Self {
             slots,
-            drift: None,
             prefix,
             suffix: vec![zero(); n_slots + 1],
             grad: vec![0.0; n_ctrl * n_slots],
@@ -356,15 +330,6 @@ pub fn grape_with_cancel(
         Some(_) => vec![vec![0.0; n_slots]; n_ctrl],
         None => Vec::new(),
     };
-    // Hoist the drift-Hamiltonian eigendecomposition out of the iteration
-    // loop: it is computed once here, and every slot whose controls are
-    // all exactly zero adopts the bundle instead of rediagonalizing.
-    let mut drift = SlotScratch::new(device.dim(), n_ctrl);
-    drift.amps.fill(0.0);
-    let needs_phi = config.gradient == GradientMode::Exact;
-    if prepare_slot(&mut drift, device, dt, needs_phi).is_ok() {
-        ws.drift = Some(Box::new(drift));
-    }
     let adag = target.dagger();
 
     for restart in 0..config.restarts.max(1) {
@@ -566,11 +531,10 @@ fn fidelity_and_gradient(
 
     // Per-slot eigensystems and propagators. A slot whose amplitudes are
     // bit-identical to its previous evaluation keeps its cached bundle
-    // (common once Adam saturates amplitudes at the clamp); an all-zero
-    // slot adopts the hoisted drift bundle; any other slot is recomputed,
-    // its eigensolver warm-started from the slot's previous basis.
+    // (common once Adam saturates amplitudes at the clamp); any other slot
+    // is recomputed, its eigensolver warm-started from the slot's
+    // previous basis.
     let needs_phi = mode == GradientMode::Exact;
-    let drift = ws.drift.as_deref();
     for (s, slot) in ws.slots.iter_mut().enumerate() {
         let hit = slot.cache_valid
             && (!needs_phi || slot.phi_built)
@@ -584,14 +548,6 @@ fn fidelity_and_gradient(
         }
         for (a, c) in slot.amps.iter_mut().zip(controls) {
             *a = c[s];
-        }
-        if slot.amps.iter().all(|a| a.to_bits() == 0.0f64.to_bits()) {
-            if let Some(d) = drift {
-                if !needs_phi || d.phi_built {
-                    slot.copy_bundle_from(d);
-                    continue;
-                }
-            }
         }
         if prepare_slot(slot, device, dt, needs_phi).is_err() {
             return Err(GrapeError::Numerical(format!(
@@ -785,8 +741,9 @@ mod tests {
     /// A workspace's warm-started eigenbases change an evaluation only at
     /// rounding level: after two other control sets, it agrees with a
     /// fresh workspace. The last set keeps some slots of the one before
-    /// (cache hits), zeroes some (drift adoption) and moves the rest by
-    /// an optimizer-sized step (warm starts).
+    /// (cache hits), zeroes some and moves the rest by an optimizer-sized
+    /// step (both warm starts: a zeroed slot recomputes from the basis of
+    /// its previous, nonzero amplitudes).
     #[test]
     fn warm_started_workspace_matches_a_fresh_one() {
         let d = DeviceModel::transmon_line(2).unwrap();

@@ -49,7 +49,6 @@ pub use grape::{
     fault_fingerprint, grape, grape_with_cancel, propagate, GradientMode, GrapeConfig, GrapeError,
     GrapeResult,
 };
-pub use grape::GrapeWorkspace;
 pub use journal::{load_library_file, save_library_file, JournalWriter};
 pub use library::{CacheKey, InsertObserver, KeyPolicy, PulseEntry, PulseLibrary};
 pub use model::{DurationModel, GateDurationTable};

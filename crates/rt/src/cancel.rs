@@ -58,8 +58,8 @@ pub struct Budget {
     /// Cap on total GRAPE Adam iterations per block (across restarts,
     /// duration-search probes, and recovery-ladder attempts).
     pub grape_iters: Option<u64>,
-    /// Cap on QSearch node evaluations per block (across LEAP restarts
-    /// and budget-escalation retries).
+    /// Cap on QSearch node evaluations per block (across budget-escalation
+    /// retries).
     pub qsearch_nodes: Option<u64>,
 }
 

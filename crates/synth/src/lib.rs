@@ -3,8 +3,7 @@
 //! The paper's Algorithm 2: A* heuristic search over circuit templates of
 //! *variable unitary gates* (VUGs) and CNOTs, with numerical instantiation
 //! of the VUG parameters by Adam on an analytic gradient of the
-//! phase-invariant Hilbert–Schmidt cost, plus LEAP-style prefix commitment
-//! for deeper targets.
+//! phase-invariant Hilbert–Schmidt cost.
 //!
 //! ## Example
 //!

@@ -1,5 +1,4 @@
-//! The paper's Algorithm 2: heuristic (A*) circuit synthesis with LEAP-style
-//! prefix commitment for deeper targets.
+//! The paper's Algorithm 2: heuristic (A*) circuit synthesis.
 //!
 //! Nodes are template structures (CNOT placements); expanding a node
 //! appends one `CNOT + VUG·VUG` cell at every qubit pair. Each node is
@@ -61,16 +60,6 @@ impl std::fmt::Display for SynthError {
 
 impl std::error::Error for SynthError {}
 
-/// Deterministic fingerprint of the target for fault-injection keys.
-fn fault_fingerprint(m: &Matrix) -> u64 {
-    let mut h = faults::mix(0, m.rows() as u64);
-    for z in m.as_slice() {
-        h = faults::mix(h, z.re.to_bits());
-        h = faults::mix(h, z.im.to_bits());
-    }
-    h
-}
-
 /// Synthesis configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
@@ -82,9 +71,6 @@ pub struct SynthConfig {
     pub max_nodes: usize,
     /// A* weight per CNOT (trades gate count against search time).
     pub cnot_weight: f64,
-    /// LEAP: after this many expansions without improvement, commit the
-    /// best structure as the new root and restart the queue. `0` disables.
-    pub leap_patience: usize,
     /// Numerical instantiation options.
     pub instantiate: InstantiateOptions,
     /// RNG seed (synthesis is deterministic given the seed).
@@ -98,7 +84,6 @@ impl Default for SynthConfig {
             max_cnots: 10,
             max_nodes: 200,
             cnot_weight: 0.05,
-            leap_patience: 12,
             instantiate: InstantiateOptions::default(),
             seed: 0xEC0C,
         }
@@ -121,11 +106,11 @@ pub struct SynthResult {
 }
 
 /// A search node. Template structure and instantiated parameters are
-/// behind `Rc`: the heap, the best-so-far bookkeeping, and LEAP restarts
-/// all share one allocation per evaluated node instead of deep-copying
-/// segment and parameter vectors at every improvement. The only deep
-/// template copy left is the structural one at expansion time, when a
-/// child genuinely differs from its parent by an appended cell.
+/// behind `Rc`: the heap and the best-so-far bookkeeping share one
+/// allocation per evaluated node instead of deep-copying segment and
+/// parameter vectors at every improvement. The only deep template copy
+/// left is the structural one at expansion time, when a child genuinely
+/// differs from its parent by an appended cell.
 #[derive(Debug)]
 struct Node {
     template: Rc<Template>,
@@ -282,7 +267,6 @@ pub fn synthesize_with_cancel(
     let mut best = root.share();
     let mut heap = BinaryHeap::new();
     heap.push(root);
-    let mut since_improvement = 0usize;
 
     // Fail point `qsearch.budget`: an injected budget exhaustion before
     // the A* loop — the root comes back non-converged, exactly like a
@@ -291,7 +275,7 @@ pub fn synthesize_with_cancel(
     // every budget escalation the recovery ladder tries.
     if faults::is_armed() {
         let key = faults::mix(
-            fault_fingerprint(target),
+            target.fold_bits(faults::mix(0, dim as u64)),
             faults::mix(config.max_nodes as u64, config.seed),
         );
         if faults::fail_point_keyed("qsearch.budget", key) {
@@ -333,9 +317,6 @@ pub fn synthesize_with_cancel(
             nodes_evaluated += 1;
             if child.distance < best.distance - 1e-12 {
                 best = child.share();
-                since_improvement = 0;
-            } else {
-                since_improvement += 1;
             }
             if child.distance < config.distance_threshold {
                 return Ok(finish(child, nodes_evaluated, true));
@@ -344,17 +325,6 @@ pub fn synthesize_with_cancel(
             if nodes_evaluated >= config.max_nodes {
                 break 'search;
             }
-        }
-        // LEAP: commit the best prefix when stuck.
-        if config.leap_patience > 0 && since_improvement >= config.leap_patience {
-            epoc_rt::telemetry::counter_add("qsearch.leap_restarts", 1);
-            heap.clear();
-            let mut restart = best.share();
-            restart.score = best.distance; // reset score so it expands first
-            restart.seq = next_seq;
-            next_seq += 1;
-            heap.push(restart);
-            since_improvement = 0;
         }
     }
     Ok(finish(best, nodes_evaluated, false))

@@ -257,6 +257,41 @@ fn library_files_are_byte_deterministic() {
     std::fs::remove_file(&path_b).ok();
 }
 
+/// `epocc --library FILE` on a file that is not a library moves it aside
+/// to `FILE.corrupt`, as `epocd` does, before saving a fresh library at
+/// FILE: the file's bytes survive, and FILE then loads.
+#[test]
+fn epocc_sets_a_foreign_library_file_aside() {
+    let path = temp_lib("foreign");
+    let aside = path.with_extension("json.corrupt");
+    std::fs::remove_file(&aside).ok();
+    let notes = b"notes, not pulses\n";
+    std::fs::write(&path, notes).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_epocc"))
+        .args(["--grape", "0", "--library"])
+        .arg(&path)
+        .arg("bench:bell_n4")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "epocc failed: {stderr}");
+    assert!(
+        stderr.contains("aside"),
+        "no warning names the move: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&aside).unwrap(),
+        notes,
+        "the file's bytes were lost"
+    );
+    let loaded = EpocCompiler::new(EpocConfig::default())
+        .load_library(&path)
+        .unwrap();
+    assert!(loaded > 0, "the fresh library at FILE holds no pulses");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&aside).ok();
+}
+
 /// Drives the `epocd` binary itself: jobs piped on stdin, one report line
 /// each, and the library persisting across a *process* restart. The
 /// second process must warm-start from disk and answer with zero misses
