@@ -172,24 +172,27 @@ impl HardwareProfile {
         if self.is_identity() {
             return 0;
         }
-        let mut h = Fnv::new();
-        h.eat(self.name.as_bytes());
-        h.eat(&self.sample_rate_ghz.to_bits().to_le_bytes());
-        h.eat(&self.dac_bits.to_le_bytes());
-        h.eat(&self.filter_sigma.to_bits().to_le_bytes());
-        h.eat(&self.filter_chop.to_bits().to_le_bytes());
-        h.eat(&self.crosstalk.to_bits().to_le_bytes());
-        h.eat(&self.slew_limit.to_bits().to_le_bytes());
+        let mut bytes = self.name.as_bytes().to_vec();
+        bytes.extend(self.sample_rate_ghz.to_bits().to_le_bytes());
+        bytes.extend(self.dac_bits.to_le_bytes());
+        for x in [
+            self.filter_sigma,
+            self.filter_chop,
+            self.crosstalk,
+            self.slew_limit,
+        ] {
+            bytes.extend(x.to_bits().to_le_bytes());
+        }
         match &self.sfq {
             Some(s) => {
-                h.eat(&[1]);
-                h.eat(&s.clock_ghz.to_bits().to_le_bytes());
+                bytes.push(1);
+                bytes.extend(s.clock_ghz.to_bits().to_le_bytes());
             }
-            None => h.eat(&[0]),
+            None => bytes.push(0),
         }
         // 0 is reserved for "no profile"; remap the (absurdly unlikely)
         // collision to a fixed non-zero value.
-        match h.finish() {
+        match epoc_rt::fnv1a(&bytes) {
             0 => 0x9e37_79b9_7f4a_7c15,
             v => v,
         }
@@ -457,24 +460,6 @@ impl SfqBitstream {
     }
 }
 
-/// FNV-1a, matching the stable hash used by the pulse-library cache.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,8 +516,10 @@ mod tests {
         assert_ne!(awg, 0);
         assert_ne!(sfq, 0);
         assert_ne!(awg, sfq);
-        // Stable across constructions.
-        assert_eq!(awg, HardwareProfile::transmon_awg_8bit().stable_hash());
+        // Stable across constructions and builds: persisted library
+        // sections are keyed by these values.
+        assert_eq!(awg, 0xb3b3_1a5b_3204_6fac);
+        assert_eq!(sfq, 0x7978_60f8_a455_ae10);
         // Sensitive to every conditioning parameter.
         let mut tweaked = HardwareProfile::transmon_awg_8bit();
         tweaked.crosstalk = 0.03;

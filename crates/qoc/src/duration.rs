@@ -90,6 +90,12 @@ impl Default for DurationSearchConfig {
 pub struct PulseSolution {
     /// The successful GRAPE run at the minimal slot count found.
     pub result: GrapeResult,
+    /// Phase-invariant fidelity of the returned waveform itself against
+    /// the target: that of `result.unitary`, the conditioned propagator
+    /// under a hardware profile. `result.fidelity` is GRAPE's last
+    /// evaluated iterate's, which lags the controls by one Adam step when
+    /// a restart runs out of iterations.
+    pub fidelity: f64,
     /// Slot count of the solution.
     pub n_slots: usize,
     /// Total GRAPE probes spent: every slot count decided, plus every
@@ -194,6 +200,7 @@ pub fn minimize_duration_with_cancel(
     };
     let (n_slots, result) = search.run()?;
     Ok(PulseSolution {
+        fidelity: phase_invariant_fidelity(&result.unitary, target),
         result,
         n_slots,
         probes: search.probes,
@@ -420,7 +427,7 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grape::grape;
+    use crate::grape::{grape, propagate};
     use epoc_circuit::Gate;
 
     #[test]
@@ -480,15 +487,16 @@ mod tests {
     /// The search's answer is bracketed by finished runs: an
     /// uninterrupted [`grape`] run passes at `n*` — and is the returned
     /// pulse, bit for bit — and fails at `n* − 1`, however the provisional
-    /// verdicts steered the search. Checked with ideal electronics and
-    /// under `transmon_awg_8bit`.
+    /// verdicts steered the search. The solution's fidelity is the
+    /// returned waveform's own, as the electronics play it. Checked with
+    /// ideal electronics and under `transmon_awg_8bit`.
     #[test]
     fn answer_is_bracketed_by_uninterrupted_runs() {
         let d1 = DeviceModel::transmon_line(1).unwrap();
         let d2 = DeviceModel::transmon_line(2).unwrap();
         for hw in [None, Some(epoc_hw::HardwareProfile::transmon_awg_8bit())] {
             let mut config = DurationSearchConfig::default();
-            config.grape.hw = hw;
+            config.grape.hw = hw.clone();
             let threshold = config.fidelity_threshold;
             for (device, gate) in [
                 (&d1, Gate::X),
@@ -511,6 +519,18 @@ mod tests {
                     "{gate:?}"
                 );
                 assert_eq!(at.controls, sol.result.controls, "{gate:?}");
+                let mut played = sol.result.controls.clone();
+                if let Some(profile) = &hw {
+                    let mut ws = epoc_hw::ConditionWorkspace::new();
+                    let (dt, a_max) = (device.dt(), device.max_amplitude());
+                    profile.condition_controls(dt, a_max, &mut played, &mut ws);
+                }
+                let own = phase_invariant_fidelity(&propagate(device, &played).unwrap(), &target);
+                assert!(
+                    (sol.fidelity - own).abs() <= 1e-12,
+                    "{gate:?}: {} vs {own}",
+                    sol.fidelity
+                );
                 let below = grape(device, &target, n - 1, &config.grape).unwrap();
                 assert!(!passes(&below), "{gate:?} at {}", n - 1);
             }

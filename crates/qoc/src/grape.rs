@@ -120,65 +120,38 @@ impl Default for GrapeConfig {
 /// Adam steps over which the stall test measures a restart's progress.
 const STALL_WINDOW: usize = 30;
 
-/// Per-timeslot scratch owned by [`GrapeWorkspace`]: one slot's cached
-/// eigensystem bundle plus the buffers its gradient evaluation works in.
+/// One time slot's state from one evaluation to the next, owned by
+/// [`GrapeWorkspace`].
 struct SlotScratch {
-    /// Gathered control column `u[·][s]` — doubles as the eigensystem
-    /// cache key: when the incoming amplitudes are bit-identical to these,
-    /// the bundle below is reused instead of recomputed. Initialized to
-    /// `NaN` so a fresh slot can never spuriously hit.
+    /// Gathered control column `u[·][s]`, the cache key: when the incoming
+    /// amplitudes are bitwise equal to these, the slot is reused as it
+    /// stands. `NaN` until the slot is prepared, and again after a failed
+    /// preparation, so an unprepared slot never hits.
     amps: Vec<f64>,
-    /// `H(u_s)`, rebuilt in place on a cache miss.
-    h: Matrix,
-    /// Eigensystem of `h`. On a cache miss the eigensolver warm-starts
-    /// from the slot's previous basis held here and overwrites it in
-    /// place; all downstream products reuse the buffers below.
+    /// Eigensystem of `H(amps)`. On a miss the eigensolver warm-starts
+    /// from the basis held here and overwrites it in place; it is what a
+    /// suspended restart keeps of the slot.
     eig: HermitianEig,
-    /// `V†` — hoisted once per slot and shared by the propagator build and
-    /// the gradient back-conjugation.
+    /// `V†`, shared by the propagator build and the gradient
+    /// back-conjugation.
     vdag: Matrix,
     /// Diagonal propagator phases `cis(-λ·dt)`.
     phases: Vec<Complex64>,
     /// Slot propagator `U_s = V·diag(phases)·V†`.
     prop: Matrix,
-    /// General matrix scratch.
-    t1: Matrix,
-    t2: Matrix,
-    /// Trace kernel `K = V†·W·V` (exact mode) or `Y = U_s·W` (first-order
-    /// mode), where `W = prefix_s·suffix_{s+1} = U_{s-1}···U_0·A†·U_last···U_{s+1}`.
-    kern: Matrix,
-    /// Exact-gradient Fréchet phase matrix, stored **transposed**
-    /// (`phi[(b,a)] = φ(a,b)`) so the phase-2 Hadamard product reads it in
-    /// `kern`'s layout. Part of the cached bundle: it depends only on the
-    /// eigenvalues and `dt`.
-    phi: Matrix,
-    /// Whether `phi` matches the current eigensystem (it is skipped in
-    /// first-order mode).
-    phi_built: bool,
-    /// Whether the cached bundle (eig/vdag/phases/prop/phi) is coherent
-    /// with `amps`.
-    cache_valid: bool,
 }
 
 impl SlotScratch {
     fn new(dim: usize, n_ctrl: usize) -> Self {
-        let zero = || Matrix::zeros(dim, dim);
         Self {
             amps: vec![f64::NAN; n_ctrl],
-            h: zero(),
             eig: HermitianEig {
                 values: Vec::new(),
                 vectors: Matrix::zeros(0, 0),
             },
-            vdag: zero(),
+            vdag: Matrix::zeros(dim, dim),
             phases: Vec::with_capacity(dim),
-            prop: zero(),
-            t1: zero(),
-            t2: zero(),
-            kern: zero(),
-            phi: zero(),
-            phi_built: false,
-            cache_valid: false,
+            prop: Matrix::zeros(dim, dim),
         }
     }
 
@@ -188,8 +161,6 @@ impl SlotScratch {
         self.amps.fill(f64::NAN);
         self.eig.values.clear();
         self.eig.vectors = Matrix::zeros(0, 0);
-        self.phi_built = false;
-        self.cache_valid = false;
     }
 }
 
@@ -219,16 +190,30 @@ struct GrapeWorkspace {
     suffix: Vec<Matrix>,
     /// Flat gradient, channel-major: `grad[j * n_slots + s]`.
     grad: Vec<f64>,
+    /// Per-evaluation scratch, one set for every slot: `H(u_s)` on a miss,
+    /// and two general matrices.
+    h: Matrix,
+    t1: Matrix,
+    t2: Matrix,
+    /// Trace kernel `K = V†·W·V` (exact mode) or `Y = U_s·W` (first-order
+    /// mode), where `W = prefix_s·suffix_{s+1} = U_{s-1}···U_0·A†·U_last···U_{s+1}`.
+    kern: Matrix,
 }
 
 impl GrapeWorkspace {
     /// Allocates buffers for a `(device, n_slots)` problem shape.
     fn new(device: &DeviceModel, n_slots: usize) -> Self {
+        let dim = device.dim();
+        let zero = || Matrix::zeros(dim, dim);
         let mut ws = Self {
             slots: Vec::new(),
-            prefix: Vec::new(),
+            prefix: vec![Matrix::identity(dim)],
             suffix: Vec::new(),
             grad: Vec::new(),
+            h: zero(),
+            t1: zero(),
+            t2: zero(),
+            kern: zero(),
         };
         ws.fit(device, n_slots);
         ws
@@ -241,9 +226,6 @@ impl GrapeWorkspace {
         let n_ctrl = device.controls().len();
         while self.slots.len() < n_slots {
             self.slots.push(SlotScratch::new(dim, n_ctrl));
-        }
-        if self.prefix.is_empty() {
-            self.prefix.push(Matrix::identity(dim));
         }
         while self.prefix.len() < n_slots {
             self.prefix.push(Matrix::zeros(dim, dim));
@@ -323,9 +305,9 @@ pub fn grape_with_cancel(
 }
 
 /// A suspended restart's slots in flat buffers, slot-major: each slot's
-/// amplitudes and eigensystem. The rest of a slot's bundle (`V†`, the
-/// phases, `U_s`, `φ`) is a function of the eigensystem and `dt`, and is
-/// rebuilt bit-exactly when the restart resumes.
+/// amplitudes and eigensystem. The rest of a slot (`V†`, the phases and
+/// `U_s`) is a function of the eigensystem and `dt`, and is rebuilt
+/// bit-exactly when the restart resumes.
 struct SuspendedSlots {
     amps: Vec<f64>,
     values: Vec<f64>,
@@ -717,18 +699,19 @@ impl<'a> GrapeSession<'a> {
     }
 
     /// Loads `restart`'s slots into the workspace: each slot's amplitudes
-    /// and eigensystem, with the bundle rebuilt from them. A restart that
-    /// has not stepped yet gets cleared slots, so it starts cold.
+    /// and eigensystem, with `V†`, the phases and `U_s` rebuilt from them.
+    /// A restart that has not stepped yet gets cleared slots, so it starts
+    /// cold.
     fn resume(&mut self, n_slots: usize, restart: &Restart) {
         self.ws.fit(self.device, n_slots);
-        let slots = &mut self.ws.slots[..n_slots];
+        let GrapeWorkspace { slots, t1, .. } = &mut self.ws;
+        let slots = &mut slots[..n_slots];
         let Some(saved) = &restart.slots else {
             slots.iter_mut().for_each(SlotScratch::clear);
             return;
         };
         let dim = self.device.dim();
         let n_ctrl = self.device.controls().len();
-        let needs_phi = self.config.gradient == GradientMode::Exact;
         for (s, slot) in slots.iter_mut().enumerate() {
             slot.amps
                 .copy_from_slice(&saved.amps[s * n_ctrl..(s + 1) * n_ctrl]);
@@ -743,7 +726,7 @@ impl<'a> GrapeSession<'a> {
                 .vectors
                 .as_mut_slice()
                 .copy_from_slice(&saved.vectors[s * dim * dim..(s + 1) * dim * dim]);
-            build_bundle(slot, self.device.dt(), needs_phi);
+            build_bundle(slot, t1, self.device.dt());
         }
     }
 
@@ -793,67 +776,48 @@ pub fn propagate(device: &DeviceModel, controls: &[Vec<f64>]) -> Result<Matrix, 
     Ok(u)
 }
 
-/// Computes a slot's eigensystem bundle from `slot.amps`: `H(u)` → its
-/// eigensystem (warm-started from the basis the slot already holds), then
-/// the rest of the bundle by [`build_bundle`].
+/// Prepares a slot for `slot.amps`: `H(u)` into `h`, its eigensystem
+/// (warm-started from the basis the slot already holds), then the rest by
+/// [`build_bundle`].
 ///
 /// # Errors
 ///
-/// Returns [`GrapeError::Numerical`] (and leaves the bundle incoherent)
-/// when the eigendecomposition fails.
+/// Returns [`GrapeError::Numerical`] when the eigendecomposition fails,
+/// and resets the slot's amplitudes to `NaN` so that it cannot hit.
 fn prepare_slot(
     slot: &mut SlotScratch,
+    h: &mut Matrix,
+    t1: &mut Matrix,
     device: &DeviceModel,
     dt: f64,
-    needs_phi: bool,
 ) -> Result<(), GrapeError> {
-    device.hamiltonian_into(&slot.amps, &mut slot.h);
-    if let Err(e) = eigh_warm_into(&slot.h, &mut slot.eig) {
-        slot.cache_valid = false;
+    device.hamiltonian_into(&slot.amps, h);
+    if let Err(e) = eigh_warm_into(h, &mut slot.eig) {
+        slot.amps.fill(f64::NAN);
         return Err(GrapeError::Numerical(format!(
             "eigendecomposition failed: {e}"
         )));
     }
-    build_bundle(slot, dt, needs_phi);
+    build_bundle(slot, t1, dt);
     Ok(())
 }
 
-/// Builds the bundle that follows from a slot's eigensystem: `V†`, the
-/// propagator phases and `U_s = V·diag·V†` — and, when `needs_phi`, the
-/// exact-gradient Fréchet phase matrix `φ`. Marks the bundle
-/// cache-coherent.
-fn build_bundle(slot: &mut SlotScratch, dt: f64, needs_phi: bool) {
+/// Builds what follows from a slot's eigensystem: `V†`, the propagator
+/// phases and `U_s = V·diag·V†`, with `t1` as scratch.
+fn build_bundle(slot: &mut SlotScratch, t1: &mut Matrix, dt: f64) {
     let dim = slot.eig.values.len();
     slot.eig.vectors.dagger_into(&mut slot.vdag);
     slot.phases.clear();
     slot.phases
         .extend(slot.eig.values.iter().map(|&l| Complex64::cis(-l * dt)));
     // U_s = V·diag(phases)·V†: scale V's columns, then one product.
-    slot.t1.copy_from(&slot.eig.vectors);
-    for row in slot.t1.as_mut_slice().chunks_exact_mut(dim) {
+    t1.copy_from(&slot.eig.vectors);
+    for row in t1.as_mut_slice().chunks_exact_mut(dim) {
         for (z, ph) in row.iter_mut().zip(&slot.phases) {
             *z *= *ph;
         }
     }
-    slot.t1.matmul_into(&slot.vdag, &mut slot.prop);
-    if needs_phi {
-        // Divided-difference phases of the exact propagator derivative,
-        // stored transposed (`phi[(b,a)] = φ(a,b)`) for phase 2.
-        for a in 0..dim {
-            let la = slot.eig.values[a];
-            for b in 0..dim {
-                let lb = slot.eig.values[b];
-                slot.phi[(b, a)] = if (la - lb).abs() < 1e-10 {
-                    // f'(λ) with f = e^{-i dt λ}
-                    slot.phases[a] * c64(0.0, -dt)
-                } else {
-                    (slot.phases[a] - slot.phases[b]) / c64(la - lb, 0.0)
-                };
-            }
-        }
-    }
-    slot.phi_built = needs_phi;
-    slot.cache_valid = true;
+    t1.matmul_into(&slot.vdag, &mut slot.prop);
 }
 
 /// Phase-invariant fidelity `|Tr(A†U)|/d`, with the gradient w.r.t. every
@@ -881,26 +845,33 @@ fn fidelity_and_gradient(
     let mode = config.gradient;
 
     // Per-slot eigensystems and propagators. A slot whose amplitudes are
-    // bit-identical to its previous evaluation keeps its cached bundle
+    // bit-identical to its previous evaluation is reused as it stands
     // (common once Adam saturates amplitudes at the clamp); any other slot
     // is recomputed, its eigensolver warm-started from the slot's
     // previous basis.
-    let needs_phi = mode == GradientMode::Exact;
-    for (s, slot) in ws.slots[..n_slots].iter_mut().enumerate() {
-        let hit = slot.cache_valid
-            && (!needs_phi || slot.phi_built)
-            && slot
-                .amps
-                .iter()
-                .zip(controls)
-                .all(|(a, c)| a.to_bits() == c[s].to_bits());
+    let GrapeWorkspace {
+        slots,
+        prefix,
+        suffix,
+        grad,
+        h,
+        t1,
+        t2,
+        kern,
+    } = ws;
+    for (s, slot) in slots[..n_slots].iter_mut().enumerate() {
+        let hit = slot
+            .amps
+            .iter()
+            .zip(controls)
+            .all(|(a, c)| a.to_bits() == c[s].to_bits());
         if hit {
             continue;
         }
         for (a, c) in slot.amps.iter_mut().zip(controls) {
             *a = c[s];
         }
-        if prepare_slot(slot, device, dt, needs_phi).is_err() {
+        if prepare_slot(slot, h, t1, device, dt).is_err() {
             return Err(GrapeError::Numerical(format!(
                 "eigendecomposition failed on slot {s}"
             )));
@@ -910,52 +881,54 @@ fn fidelity_and_gradient(
     // Serial chain sweeps: prefix[s] = U_{s-1}···U_0 and, with A† folded
     // into the suffix, suffix[s] = A†·U_last···U_s.
     for s in 1..n_slots {
-        let (head, tail) = ws.prefix.split_at_mut(s);
-        ws.slots[s - 1].prop.matmul_into(&head[s - 1], &mut tail[0]);
+        let (head, tail) = prefix.split_at_mut(s);
+        slots[s - 1].prop.matmul_into(&head[s - 1], &mut tail[0]);
     }
-    ws.suffix[n_slots].copy_from(adag);
+    suffix[n_slots].copy_from(adag);
     for s in (0..n_slots).rev() {
-        let (head, tail) = ws.suffix.split_at_mut(s + 1);
-        tail[0].matmul_into(&ws.slots[s].prop, &mut head[s]);
+        let (head, tail) = suffix.split_at_mut(s + 1);
+        tail[0].matmul_into(&slots[s].prop, &mut head[s]);
     }
     // f = Tr(A†·U_total) = Tr(suffix[0]).
-    let f_complex: Complex64 = (0..dim).map(|i| ws.suffix[0][(i, i)]).sum();
+    let f_complex: Complex64 = (0..dim).map(|i| suffix[0][(i, i)]).sum();
     let fabs = f_complex.abs().max(1e-300);
     let fidelity = fabs / dim as f64;
     let f_conj = f_complex.conj();
 
     // Per-slot gradient.
-    let prefix = &ws.prefix;
-    let suffix = &ws.suffix;
-    for (s, slot) in ws.slots[..n_slots].iter_mut().enumerate() {
+    for (s, slot) in slots[..n_slots].iter().enumerate() {
         // W = prefix[s]·A†·U_last···U_{s+1}; df_j = Tr(W·dU_j).
-        prefix[s].matmul_into(&suffix[s + 1], &mut slot.t2);
+        prefix[s].matmul_into(&suffix[s + 1], t2);
         match mode {
             GradientMode::Exact => {
                 // K = V†·W·V, the trace kernel in the slot eigenbasis.
-                slot.vdag.matmul_into(&slot.t2, &mut slot.t1);
-                slot.t1.matmul_into(&slot.eig.vectors, &mut slot.kern);
+                slot.vdag.matmul_into(t2, t1);
+                t1.matmul_into(&slot.eig.vectors, kern);
                 // dU_j = V·(φ∘(V†·H_j·V))·V† by the exact Fréchet
-                // derivative; pulling the contraction back to the lab
-                // frame with Q = V·(φᵀ∘K)·V† turns every channel into an
-                // O(dim²) read-off — no per-channel conjugation.
-                {
-                    let SlotScratch { t1, kern, phi, .. } = slot;
-                    for (m, (k, p)) in t1
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(kern.as_slice().iter().zip(phi.as_slice()))
-                    {
-                        *m = *k * *p;
+                // derivative, with φ(a,b) the divided difference of
+                // f(λ) = e^{-i·dt·λ} at the eigenvalues λ_a, λ_b. Pulling
+                // the contraction back to the lab frame with
+                // Q = V·(φᵀ∘K)·V† turns every channel into an O(dim²)
+                // read-off — no per-channel conjugation.
+                let (values, phases) = (&slot.eig.values, &slot.phases);
+                for b in 0..dim {
+                    for a in 0..dim {
+                        let (la, lb) = (values[a], values[b]);
+                        let phi = if (la - lb).abs() < 1e-10 {
+                            phases[a] * c64(0.0, -dt) // f'(λ_a)
+                        } else {
+                            (phases[a] - phases[b]) / c64(la - lb, 0.0)
+                        };
+                        t1[(b, a)] = kern[(b, a)] * phi;
                     }
                 }
-                slot.eig.vectors.matmul_into(&slot.t1, &mut slot.t2);
-                slot.t2.matmul_into(&slot.vdag, &mut slot.kern); // kern ← Q
+                slot.eig.vectors.matmul_into(t1, t2);
+                t2.matmul_into(&slot.vdag, kern); // kern ← Q
             }
             GradientMode::FirstOrder => {
                 // dU_j = −i·dt·H_j·U_s ⇒ df_j = −i·dt·Tr(U_s·W·H_j):
                 // kern = U_s·W.
-                slot.prop.matmul_into(&slot.t2, &mut slot.kern);
+                slot.prop.matmul_into(t2, kern);
             }
         }
         for (j, channel) in channels.iter().enumerate() {
@@ -963,7 +936,7 @@ fn fidelity_and_gradient(
                 GradientMode::Exact => {
                     // df_j = Σ_{x,y} H_j[x,y]·Q[y,x].
                     let hj = channel.hamiltonian.as_slice();
-                    let q = slot.kern.as_slice();
+                    let q = kern.as_slice();
                     let mut df = Complex64::ZERO;
                     for x in 0..dim {
                         for y in 0..dim {
@@ -977,13 +950,13 @@ fn fidelity_and_gradient(
                     let mut tr = Complex64::ZERO;
                     for a in 0..dim {
                         for b in 0..dim {
-                            tr += slot.kern[(a, b)] * channel.hamiltonian[(b, a)];
+                            tr += kern[(a, b)] * channel.hamiltonian[(b, a)];
                         }
                     }
                     tr * c64(0.0, -dt)
                 }
             };
-            ws.grad[j * n_slots + s] = (f_conj * df).re / fabs;
+            grad[j * n_slots + s] = (f_conj * df).re / fabs;
         }
     }
     Ok(fidelity)

@@ -52,12 +52,7 @@ const RECORD_PREFIX: &str = "{\"crc\":\"";
 /// FNV-1a over a record's serialized payload, rendered as 16 hex digits —
 /// the torn-write detector.
 fn payload_checksum(payload: &str) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", epoc_rt::fnv1a(payload.as_bytes()))
 }
 
 /// Serializes one record line (without the trailing newline): the bytes
@@ -437,6 +432,22 @@ mod tests {
         assert_eq!(restored.peek(&h).map(|e| e.duration), Some(26.0));
         assert_eq!(restored.peek(&x).map(|e| e.duration), Some(25.0));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A record line, checksum included, is pinned at the bytes existing
+    /// library files and journals carry.
+    #[test]
+    fn record_line_bytes_are_pinned() {
+        let lib = PulseLibrary::new(KeyPolicy::PhaseAware);
+        let line = record_line("grape", &lib.cache_key(&Gate::X.unitary_matrix()), &entry(25.0));
+        assert_eq!(
+            line,
+            concat!(
+                r#"{"crc":"2287f224acde95d3","rec":{"section":"grape","key":{"kind":"phase_aware","#,
+                r#""dim":2,"cells":[0,0,1000000,0,1000000,0,0,0],"hw":"0000000000000000"},"#,
+                r#""entry":{"duration":25.0,"fidelity":0.999,"n_slots":25,"waveform":null}}}"#
+            )
+        );
     }
 
     #[test]

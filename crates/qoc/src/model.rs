@@ -156,7 +156,7 @@ impl DurationModel {
                 let mut c = Circuit::new(1);
                 c.push(gate, &[0]);
                 ratios.push(sol.result.duration / table.critical_path(&c).max(1.0));
-                fidelities.push(sol.result.fidelity);
+                fidelities.push(sol.fidelity);
                 min_pulse = min_pulse.min(sol.result.duration);
             }
         }
@@ -185,7 +185,7 @@ impl DurationModel {
         for (c, sol) in [(cx, cx_sol), (blk, blk_sol)] {
             if let Some(sol) = sol {
                 ratios.push(sol.result.duration / table.critical_path(&c).max(1.0));
-                fidelities.push(sol.result.fidelity);
+                fidelities.push(sol.fidelity);
             }
         }
         let qoc_factor = if ratios.is_empty() {

@@ -17,11 +17,9 @@ use crate::model::DurationModel;
 use crate::store::StoreConfig;
 use crate::waveform::PulseWaveform;
 use epoc_circuit::Circuit;
-use epoc_linalg::{phase_invariant_fidelity, Matrix};
-use std::collections::HashMap;
+use epoc_linalg::Matrix;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A pulse-synthesis failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,7 +125,6 @@ pub trait PulseSynthesizer: Send + Sync {
 /// Real-GRAPE backend with pulse-library caching.
 pub struct GrapeSynthesizer {
     library: PulseLibrary,
-    devices: Mutex<HashMap<usize, DeviceModel>>,
     search: DurationSearchConfig,
     /// Width cap — requests beyond it error (route them to a hybrid).
     max_qubits: usize,
@@ -158,7 +155,6 @@ impl GrapeSynthesizer {
         let profile_hash = epoc_hw::profile_hash(search.grape.hw.as_ref());
         Self {
             library: PulseLibrary::from_config(policy, store).with_profile_hash(profile_hash),
-            devices: Mutex::new(HashMap::new()),
             search,
             max_qubits: max_qubits.clamp(1, 6),
             iterations: AtomicUsize::new(0),
@@ -185,18 +181,6 @@ impl GrapeSynthesizer {
     /// Duration-search GRAPE probes run so far.
     pub fn total_probes(&self) -> usize {
         self.probes.load(Ordering::Relaxed)
-    }
-
-    fn device_for(&self, n: usize) -> Result<DeviceModel, PulseError> {
-        // Poison-recovering lock: the map only caches immutable device
-        // models, so state left by a panicked thread is still valid.
-        let mut devices = self.devices.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(d) = devices.get(&n) {
-            return Ok(d.clone());
-        }
-        let d = DeviceModel::transmon_line(n)?;
-        devices.insert(n, d.clone());
-        Ok(d)
     }
 
     /// Runs the duration search for `unitary` — escalating through the
@@ -243,7 +227,7 @@ impl GrapeSynthesizer {
                 max: self.max_qubits,
             });
         }
-        let device = self.device_for(n_qubits)?;
+        let device = DeviceModel::transmon_line(n_qubits)?;
         let policy = self.search.recovery;
         let mut search = self.search.clone();
         let mut rungs: Vec<&'static str> = Vec::new();
@@ -271,16 +255,12 @@ impl GrapeSynthesizer {
                 Ok(sol) => {
                     self.iterations.fetch_add(sol.total_iterations, Ordering::Relaxed);
                     self.probes.fetch_add(sol.probes, Ordering::Relaxed);
-                    // GRAPE's fidelity is its last evaluated iterate's, which
-                    // lags the returned controls by one Adam step when a
-                    // restart runs out of iterations; the entry records the
-                    // stored waveform's own (the search held both to the
-                    // threshold).
-                    let fidelity = phase_invariant_fidelity(&sol.result.unitary, unitary);
+                    // The entry records the stored waveform's own fidelity,
+                    // not GRAPE's last evaluated iterate's.
                     return Ok(RecoveredPulse {
                         entry: PulseEntry {
                             duration: sol.result.duration,
-                            fidelity,
+                            fidelity: sol.fidelity,
                             n_slots: sol.n_slots,
                             waveform: Some(Arc::new(PulseWaveform::new(
                                 device.dt(),

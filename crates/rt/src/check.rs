@@ -30,7 +30,7 @@ pub fn property(name: &str) -> Property {
     Property {
         name: name.to_string(),
         cases: 48,
-        seed: fnv1a(name.as_bytes()),
+        seed: crate::fnv1a(name.as_bytes()),
         max_shrink: 256,
         regressions: Vec::new(),
     }
@@ -251,17 +251,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// FNV-1a over bytes: stable, dependency-free name hashing for per-
-/// property seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -151,17 +151,6 @@ pub fn mix_f64(h: u64, v: f64) -> u64 {
     mix(h, v.to_bits())
 }
 
-/// FNV-1a over the label, so distinct labels with the same key draw
-/// independent fates.
-fn label_hash(label: &str) -> u64 {
-    let mut h = 0xCBF29CE484222325u64;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001B3);
-    }
-    h
-}
-
 /// The uniform draw in `[0, 1)` a probability trigger on `label` compares
 /// against `p` for the given `key` under the current seed. Exposed so
 /// tests can pick thresholds that hit exactly the attempt they target.
@@ -171,7 +160,9 @@ pub fn decision_unit(label: &str, key: u64) -> f64 {
 }
 
 fn decision_unit_seeded(seed: u64, label: &str, key: u64) -> f64 {
-    let h = splitmix(seed ^ label_hash(label) ^ splitmix(key));
+    // The label's FNV-1a hash: distinct labels with the same key draw
+    // independent fates.
+    let h = splitmix(seed ^ crate::fnv1a(label.as_bytes()) ^ splitmix(key));
     // 53 mantissa bits → exact uniform on a 2^-53 grid.
     (h >> 11) as f64 / (1u64 << 53) as f64
 }

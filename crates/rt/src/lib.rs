@@ -45,3 +45,24 @@ pub mod json;
 pub mod pool;
 pub mod rng;
 pub mod telemetry;
+
+/// 64-bit FNV-1a over `bytes`: the workspace's one stable, platform-
+/// independent byte hash (property-test seeds, fault-label draws,
+/// pulse-library record checksums, hardware-profile hashes).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    /// The FNV-1a test vectors for "" (the offset basis) and "a": the
+    /// hashes above feed persisted checksums and profile keys, so they
+    /// must never move.
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+}

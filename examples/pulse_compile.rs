@@ -19,7 +19,7 @@ fn main() {
         .expect("X gate is reachable");
     println!(
         "X gate: minimal pulse {} ns ({} slots, fidelity {:.6}, {} GRAPE probes)",
-        sol.result.duration, sol.n_slots, sol.result.fidelity, sol.probes
+        sol.result.duration, sol.n_slots, sol.fidelity, sol.probes
     );
     // Wrap the optimized X-channel samples in an envelope and sample it.
     let env = Envelope::PiecewiseConstant {
@@ -70,7 +70,7 @@ fn main() {
     .expect("Bell block reachable");
     println!(
         "  minimal: {} ns at fidelity {:.6}",
-        sol2.result.duration, sol2.result.fidelity
+        sol2.result.duration, sol2.fidelity
     );
     println!(
         "  gate-based comparison: H + CX = {} ns",
