@@ -35,6 +35,13 @@ if [ "$quick" -eq 0 ]; then
 fi
 
 run cargo test --workspace -q
+# replay-oracle-8q: the exact replay oracle on the four 8-qubit builtins,
+# which tests/replay_oracle.rs ignores in the plain test run for their
+# cost (about 110 s in the test profile on a 2-CPU host). The `_exact`
+# filter leaves out ham7_n7's ESP reproducer, which fails by design.
+if [ "$quick" -eq 0 ]; then
+    run cargo test -q --test replay_oracle -- --ignored _exact
+fi
 # The [[bench]] target is excluded from `cargo test`; make sure it still builds.
 run cargo test --workspace -q --benches --no-run
 # perfbench/ is a cargo package of its own that builds against the

@@ -128,9 +128,9 @@ impl HardwareProfile {
         }
     }
 
-    /// An SFQ-style pulse-train controller: amplitudes are lowered to
-    /// integer pulse counts against a 25 GHz clock (the bitstream view
-    /// is available via [`HardwareProfile::lower_sfq`]).
+    /// An SFQ-style pulse-train controller: amplitudes are quantized to
+    /// integer multiples of one pulse against a 25 GHz clock (see
+    /// [`SfqParams::lsb`]).
     pub fn sfq_bitstream() -> Self {
         Self {
             name: "sfq_bitstream".into(),
@@ -258,19 +258,7 @@ impl HardwareProfile {
         //    zero-padded convolution with a symmetric kernel.
         if let Some(half) = self.kernel_into(&mut ws.kernel) {
             for chan in controls.iter_mut() {
-                ws.line.clear();
-                ws.line.extend_from_slice(chan);
-                let n = ws.line.len();
-                for (t, out) in chan.iter_mut().enumerate() {
-                    let mut acc = 0.0f64;
-                    for (ki, w) in ws.kernel.iter().enumerate() {
-                        let src = t as isize + ki as isize - half as isize;
-                        if src >= 0 && (src as usize) < n {
-                            acc += w * ws.line[src as usize];
-                        }
-                    }
-                    *out = acc;
-                }
+                convolve(&ws.kernel, half, chan, &mut ws.line);
             }
         }
         // 4. Crosstalk mix: each line picks up a fraction of its
@@ -341,47 +329,10 @@ impl HardwareProfile {
             }
         }
         if let Some(half) = self.kernel_into(&mut ws.kernel) {
-            for c in 0..n_channels {
-                let row = &mut grad[c * n_slots..(c + 1) * n_slots];
-                ws.line.clear();
-                ws.line.extend_from_slice(row);
-                for (t, out) in row.iter_mut().enumerate() {
-                    let mut acc = 0.0f64;
-                    for (ki, w) in ws.kernel.iter().enumerate() {
-                        let src = t as isize + ki as isize - half as isize;
-                        if src >= 0 && (src as usize) < n_slots {
-                            acc += w * ws.line[src as usize];
-                        }
-                    }
-                    *out = acc;
-                }
+            for row in grad.chunks_exact_mut(n_slots) {
+                convolve(&ws.kernel, half, row, &mut ws.line);
             }
         }
-    }
-
-    /// Lowers conditioned drive amplitudes to an SFQ bitstream (integer
-    /// pulse counts per slot). Returns `None` when the profile has no
-    /// SFQ stage.
-    pub fn lower_sfq(&self, dt: f64, a_max: f64, controls: &[Vec<f64>]) -> Option<SfqBitstream> {
-        let sfq = self.sfq.as_ref()?;
-        let ticks = sfq.ticks_per_slot(dt);
-        let lsb = sfq.lsb(dt, a_max);
-        let counts = controls
-            .iter()
-            .map(|chan| {
-                chan.iter()
-                    .map(|&a| {
-                        let k = (a / lsb).round();
-                        (k.clamp(-(ticks as f64), ticks as f64)) as i32
-                    })
-                    .collect()
-            })
-            .collect();
-        Some(SfqBitstream {
-            clock_ghz: sfq.clock_ghz,
-            ticks_per_slot: ticks,
-            counts,
-        })
     }
 
     /// Writes the normalized Gaussian kernel into `buf`, returning its
@@ -403,6 +354,23 @@ impl HardwareProfile {
             *w /= sum;
         }
         Some(half)
+    }
+}
+
+/// Convolves `row` in place with the symmetric `kernel` of half-width
+/// `half` in taps, zero-padded at both ends; `line` is scratch.
+fn convolve(kernel: &[f64], half: usize, row: &mut [f64], line: &mut Vec<f64>) {
+    line.clear();
+    line.extend_from_slice(row);
+    for (t, out) in row.iter_mut().enumerate() {
+        let mut acc = 0.0f64;
+        for (ki, w) in kernel.iter().enumerate() {
+            let src = t as isize + ki as isize - half as isize;
+            if src >= 0 && (src as usize) < line.len() {
+                acc += w * line[src as usize];
+            }
+        }
+        *out = acc;
     }
 }
 
@@ -432,31 +400,6 @@ impl ConditionWorkspace {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-/// An SFQ drive program: per channel, per slot, the signed number of
-/// flux pulses emitted within that slot ticking at `clock_ghz`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SfqBitstream {
-    /// SFQ clock in GHz.
-    pub clock_ghz: f64,
-    /// Clock ticks available per slot (the pulse-count range is
-    /// `[-ticks, +ticks]`).
-    pub ticks_per_slot: usize,
-    /// Pulse counts, channel-major: `counts[channel][slot]`.
-    pub counts: Vec<Vec<i32>>,
-}
-
-impl SfqBitstream {
-    /// Reconstructs effective drive amplitudes from the pulse counts
-    /// (the inverse of lowering, exact up to the 1-LSB rounding).
-    pub fn to_controls(&self, a_max: f64) -> Vec<Vec<f64>> {
-        let lsb = a_max / self.ticks_per_slot as f64;
-        self.counts
-            .iter()
-            .map(|chan| chan.iter().map(|&k| k as f64 * lsb).collect())
-            .collect()
     }
 }
 
@@ -623,28 +566,6 @@ mod tests {
         }
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[1], runs[2]);
-    }
-
-    #[test]
-    fn sfq_lowering_round_trips_within_one_lsb() {
-        let p = HardwareProfile::sfq_bitstream();
-        let sfq = p.sfq.as_ref().unwrap();
-        let lsb = sfq.lsb(DT, A_MAX);
-        let controls = random_controls(&mut Rng(0xB17), 4, 80);
-        let stream = p.lower_sfq(DT, A_MAX, &controls).expect("sfq profile");
-        assert_eq!(stream.ticks_per_slot, 50);
-        let back = stream.to_controls(A_MAX);
-        for (orig, rec) in controls.iter().zip(&back) {
-            for (a, b) in orig.iter().zip(rec) {
-                assert!((a - b).abs() <= lsb, "round-trip error {} > 1 LSB", (a - b).abs());
-            }
-        }
-        // Counts stay within the per-slot tick budget.
-        for chan in &stream.counts {
-            for &k in chan {
-                assert!(k.unsigned_abs() as usize <= stream.ticks_per_slot);
-            }
-        }
     }
 
     #[test]

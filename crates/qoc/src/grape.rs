@@ -120,18 +120,37 @@ impl Default for GrapeConfig {
 /// Adam steps over which the stall test measures a restart's progress.
 const STALL_WINDOW: usize = 30;
 
-/// One time slot's state from one evaluation to the next, owned by
-/// [`GrapeWorkspace`].
-struct SlotScratch {
+/// One time slot's state in one restart, carried from one evaluation to
+/// the next.
+struct SlotState {
     /// Gathered control column `u[·][s]`, the cache key: when the incoming
     /// amplitudes are bitwise equal to these, the slot is reused as it
     /// stands. `NaN` until the slot is prepared, and again after a failed
     /// preparation, so an unprepared slot never hits.
     amps: Vec<f64>,
-    /// Eigensystem of `H(amps)`. On a miss the eigensolver warm-starts
-    /// from the basis held here and overwrites it in place; it is what a
-    /// suspended restart keeps of the slot.
+    /// Eigensystem of `H(amps)`, empty until the slot is prepared. On a
+    /// miss the eigensolver warm-starts from the basis held here and
+    /// overwrites it in place.
     eig: HermitianEig,
+}
+
+impl SlotState {
+    /// An unprepared slot: it misses on its first evaluation, and its
+    /// eigensolver starts cold.
+    fn new(n_ctrl: usize) -> Self {
+        Self {
+            amps: vec![f64::NAN; n_ctrl],
+            eig: HermitianEig {
+                values: Vec::new(),
+                vectors: Matrix::zeros(0, 0),
+            },
+        }
+    }
+}
+
+/// What follows from a slot's eigensystem and `dt`, which the chain sweeps
+/// and the gradient read.
+struct SlotBundle {
     /// `V†`, shared by the propagator build and the gradient
     /// back-conjugation.
     vdag: Matrix,
@@ -141,47 +160,24 @@ struct SlotScratch {
     prop: Matrix,
 }
 
-impl SlotScratch {
-    fn new(dim: usize, n_ctrl: usize) -> Self {
-        Self {
-            amps: vec![f64::NAN; n_ctrl],
-            eig: HermitianEig {
-                values: Vec::new(),
-                vectors: Matrix::zeros(0, 0),
-            },
-            vdag: Matrix::zeros(dim, dim),
-            phases: Vec::with_capacity(dim),
-            prop: Matrix::zeros(dim, dim),
-        }
-    }
-
-    /// Forgets the cached amplitudes and basis, as in a fresh slot: the
-    /// next evaluation misses and its eigensolver starts cold.
-    fn clear(&mut self) {
-        self.amps.fill(f64::NAN);
-        self.eig.values.clear();
-        self.eig.vectors = Matrix::zeros(0, 0);
-    }
-}
-
 /// Reusable buffers for the GRAPE iteration loop.
 ///
 /// One workspace serves every restart of every run of a [`GrapeSession`],
-/// at any slot count it has been fitted to; after warm-up the loop
-/// performs no heap allocation (the 4×4 eigensolver works on the stack,
-/// larger ones in thread-local scratch that is reused from the first
-/// iteration on).
+/// at any slot count it has been fitted to; after a restart's first
+/// evaluation the loop performs no heap allocation (the 4×4 eigensolver
+/// works on the stack, larger ones in thread-local scratch that is reused
+/// from the first iteration on).
 ///
-/// Each slot's eigenbasis carries from one evaluation to the next, and the
-/// eigensolver warm-starts from it: an evaluation's result depends, at
-/// rounding level, on the control sets evaluated before. Those bases
-/// belong to the restart being evaluated. The session loads them from
-/// the restart's own suspended state before its steps (or clears them for
-/// a fresh restart) and stores them back after, so every restart is a
-/// pure function of its own inputs, whichever runs the workspace served
-/// in between.
+/// It holds nothing a restart needs to continue. Each slot's amplitudes
+/// and eigensystem belong to the restart ([`Restart::slots`]), and the
+/// eigensolver warm-starts from them, so an evaluation's result depends,
+/// at rounding level, on the control sets that restart evaluated before.
+/// The workspace holds each slot's [`SlotBundle`] for the restart being
+/// stepped, rebuilt from that restart's eigensystems whenever it resumes,
+/// so every restart is a pure function of its own inputs, whichever runs
+/// the workspace served in between.
 struct GrapeWorkspace {
-    slots: Vec<SlotScratch>,
+    bundles: Vec<SlotBundle>,
     /// `prefix[s] = U_{s-1}···U_0` for `s < n_slots` (`prefix[0] = I`,
     /// never overwritten).
     prefix: Vec<Matrix>,
@@ -206,7 +202,7 @@ impl GrapeWorkspace {
         let dim = device.dim();
         let zero = || Matrix::zeros(dim, dim);
         let mut ws = Self {
-            slots: Vec::new(),
+            bundles: Vec::new(),
             prefix: vec![Matrix::identity(dim)],
             suffix: Vec::new(),
             grad: Vec::new(),
@@ -223,9 +219,12 @@ impl GrapeWorkspace {
     /// sizes the gradient for exactly `n_slots`.
     fn fit(&mut self, device: &DeviceModel, n_slots: usize) {
         let dim = device.dim();
-        let n_ctrl = device.controls().len();
-        while self.slots.len() < n_slots {
-            self.slots.push(SlotScratch::new(dim, n_ctrl));
+        while self.bundles.len() < n_slots {
+            self.bundles.push(SlotBundle {
+                vdag: Matrix::zeros(dim, dim),
+                phases: Vec::with_capacity(dim),
+                prop: Matrix::zeros(dim, dim),
+            });
         }
         while self.prefix.len() < n_slots {
             self.prefix.push(Matrix::zeros(dim, dim));
@@ -233,7 +232,7 @@ impl GrapeWorkspace {
         while self.suffix.len() < n_slots + 1 {
             self.suffix.push(Matrix::zeros(dim, dim));
         }
-        self.grad.resize(n_ctrl * n_slots, 0.0);
+        self.grad.resize(device.controls().len() * n_slots, 0.0);
     }
 }
 
@@ -304,16 +303,6 @@ pub fn grape_with_cancel(
     session.finish(run)
 }
 
-/// A suspended restart's slots in flat buffers, slot-major: each slot's
-/// amplitudes and eigensystem. The rest of a slot (`V†`, the phases and
-/// `U_s`) is a function of the eigensystem and `dt`, and is rebuilt
-/// bit-exactly when the restart resumes.
-struct SuspendedSlots {
-    amps: Vec<f64>,
-    values: Vec<f64>,
-    vectors: Vec<Complex64>,
-}
-
 /// One restart's optimizer state: everything its next Adam step depends
 /// on, so that it can stop at any step boundary and later resume exactly
 /// as if it had not stopped.
@@ -335,13 +324,13 @@ struct Restart {
     /// No step is left: the restart converged, used `max_iters`, or the
     /// budget ran out.
     ended: bool,
-    /// The slots' eigensystems while the restart is suspended mid-run
-    /// (`None` before its first step and once it has ended).
-    slots: Option<SuspendedSlots>,
+    /// Per slot, the amplitudes and eigensystem of the last evaluated
+    /// iterate: unprepared when the restart starts, emptied when it ends.
+    slots: Vec<SlotState>,
 }
 
 /// One GRAPE run at a fixed slot count: its restarts so far, each
-/// suspended or ended. A [`GrapeSession`] drives it, either to a
+/// paused or ended. A [`GrapeSession`] drives it, either to a
 /// provisional verdict ([`GrapeSession::decide`]) or to the end
 /// ([`GrapeSession::finish`]).
 pub(crate) struct GrapeRun {
@@ -589,7 +578,7 @@ impl<'a> GrapeSession<'a> {
                 best: 0.0,
                 recent: [0.0; STALL_WINDOW],
                 ended: false,
-                slots: None,
+                slots: (0..n_slots).map(|_| SlotState::new(n_ctrl)).collect(),
             });
         }
         &mut run.restarts[r]
@@ -600,29 +589,24 @@ impl<'a> GrapeSession<'a> {
     /// restart has stalled when its best fidelity, extrapolated linearly
     /// to `max_iters` at its gain over the last [`STALL_WINDOW`] steps,
     /// stays below the threshold. A restart that stops before its end is
-    /// suspended.
+    /// paused: it keeps its state, and the next call resumes it.
     fn advance(
         &mut self,
         n_slots: usize,
         restart: &mut Restart,
         threshold: Option<f64>,
     ) -> Result<(), GrapeError> {
-        self.resume(n_slots, restart);
-        let stepped = self.step_until(n_slots, restart, threshold);
-        if restart.ended || stepped.is_err() {
-            restart.slots = None;
-        } else {
-            self.suspend(n_slots, restart);
+        // Another restart may have used the workspace since this one last
+        // stepped: rebuild its bundles from its own eigensystems. A slot
+        // not prepared yet misses on its first evaluation, which builds
+        // its bundle.
+        self.ws.fit(self.device, n_slots);
+        let GrapeWorkspace { bundles, t1, .. } = &mut self.ws;
+        for (slot, bundle) in restart.slots.iter().zip(bundles.iter_mut()) {
+            if !slot.eig.values.is_empty() {
+                build_bundle(&slot.eig, bundle, t1, self.device.dt());
+            }
         }
-        stepped
-    }
-
-    fn step_until(
-        &mut self,
-        n_slots: usize,
-        restart: &mut Restart,
-        threshold: Option<f64>,
-    ) -> Result<(), GrapeError> {
         let dim = self.device.dim() as f64;
         let a_max = self.device.max_amplitude();
         let max_iters = self.config.max_iters;
@@ -642,7 +626,7 @@ impl<'a> GrapeSession<'a> {
             restart.step += 1;
             self.steps += 1;
             let step = restart.step;
-            let f = self.evaluate(&restart.u)?;
+            let f = self.evaluate(&restart.u, &mut restart.slots)?;
             restart.fidelity = f;
             restart.best = restart.best.max(f);
             if 1.0 - f < self.config.infidelity_threshold {
@@ -675,78 +659,29 @@ impl<'a> GrapeSession<'a> {
             }
         }
         restart.ended = true;
+        restart.slots = Vec::new();
         Ok(())
     }
 
-    /// Phase-invariant fidelity of `u`, with its gradient in `ws.grad`.
-    fn evaluate(&mut self, u: &[Vec<f64>]) -> Result<f64, GrapeError> {
+    /// Phase-invariant fidelity of `u`, evaluated with the restart's
+    /// `slots`, with its gradient in `ws.grad`.
+    fn evaluate(&mut self, u: &[Vec<f64>], slots: &mut [SlotState]) -> Result<f64, GrapeError> {
+        let (device, adag, config) = (self.device, &self.adag, self.config);
         let Some(profile) = self.hw else {
-            return fidelity_and_gradient(self.device, &self.adag, u, self.config, &mut self.ws);
+            return fidelity_and_gradient(device, adag, u, config, slots, &mut self.ws);
         };
-        let (dt, a_max) = (self.device.dt(), self.device.max_amplitude());
+        let (dt, a_max) = (device.dt(), device.max_amplitude());
         self.uc.resize_with(u.len(), Vec::new);
         for (dst, src) in self.uc.iter_mut().zip(u) {
             dst.clear();
             dst.extend_from_slice(src);
         }
         profile.condition_controls(dt, a_max, &mut self.uc, &mut self.hw_ws);
-        let f =
-            fidelity_and_gradient(self.device, &self.adag, &self.uc, self.config, &mut self.ws)?;
+        let f = fidelity_and_gradient(device, adag, &self.uc, config, slots, &mut self.ws)?;
         // ∂F/∂(conditioned u) → ∂F/∂(raw u): transpose the linear stages,
         // straight-through the rest.
         profile.adjoint_grad(u.len(), u[0].len(), &mut self.ws.grad, &mut self.hw_ws);
         Ok(f)
-    }
-
-    /// Loads `restart`'s slots into the workspace: each slot's amplitudes
-    /// and eigensystem, with `V†`, the phases and `U_s` rebuilt from them.
-    /// A restart that has not stepped yet gets cleared slots, so it starts
-    /// cold.
-    fn resume(&mut self, n_slots: usize, restart: &Restart) {
-        self.ws.fit(self.device, n_slots);
-        let GrapeWorkspace { slots, t1, .. } = &mut self.ws;
-        let slots = &mut slots[..n_slots];
-        let Some(saved) = &restart.slots else {
-            slots.iter_mut().for_each(SlotScratch::clear);
-            return;
-        };
-        let dim = self.device.dim();
-        let n_ctrl = self.device.controls().len();
-        for (s, slot) in slots.iter_mut().enumerate() {
-            slot.amps
-                .copy_from_slice(&saved.amps[s * n_ctrl..(s + 1) * n_ctrl]);
-            slot.eig.values.clear();
-            slot.eig
-                .values
-                .extend_from_slice(&saved.values[s * dim..(s + 1) * dim]);
-            if slot.eig.vectors.rows() != dim {
-                slot.eig.vectors = Matrix::zeros(dim, dim);
-            }
-            slot.eig
-                .vectors
-                .as_mut_slice()
-                .copy_from_slice(&saved.vectors[s * dim * dim..(s + 1) * dim * dim]);
-            build_bundle(slot, t1, self.device.dt());
-        }
-    }
-
-    /// Stores the workspace's slots into `restart`'s flat buffers.
-    fn suspend(&self, n_slots: usize, restart: &mut Restart) {
-        let dim = self.device.dim();
-        let n_ctrl = self.device.controls().len();
-        let saved = restart.slots.get_or_insert_with(|| SuspendedSlots {
-            amps: Vec::with_capacity(n_slots * n_ctrl),
-            values: Vec::with_capacity(n_slots * dim),
-            vectors: Vec::with_capacity(n_slots * dim * dim),
-        });
-        saved.amps.clear();
-        saved.values.clear();
-        saved.vectors.clear();
-        for slot in &self.ws.slots[..n_slots] {
-            saved.amps.extend_from_slice(&slot.amps);
-            saved.values.extend_from_slice(&slot.eig.values);
-            saved.vectors.extend_from_slice(slot.eig.vectors.as_slice());
-        }
     }
 
     /// Charges the steps taken since `since` to the telemetry registry.
@@ -777,15 +712,16 @@ pub fn propagate(device: &DeviceModel, controls: &[Vec<f64>]) -> Result<Matrix, 
 }
 
 /// Prepares a slot for `slot.amps`: `H(u)` into `h`, its eigensystem
-/// (warm-started from the basis the slot already holds), then the rest by
-/// [`build_bundle`].
+/// (warm-started from the basis the slot already holds), then its bundle
+/// by [`build_bundle`].
 ///
 /// # Errors
 ///
 /// Returns [`GrapeError::Numerical`] when the eigendecomposition fails,
 /// and resets the slot's amplitudes to `NaN` so that it cannot hit.
 fn prepare_slot(
-    slot: &mut SlotScratch,
+    slot: &mut SlotState,
+    bundle: &mut SlotBundle,
     h: &mut Matrix,
     t1: &mut Matrix,
     device: &DeviceModel,
@@ -798,30 +734,33 @@ fn prepare_slot(
             "eigendecomposition failed: {e}"
         )));
     }
-    build_bundle(slot, t1, dt);
+    build_bundle(&slot.eig, bundle, t1, dt);
     Ok(())
 }
 
 /// Builds what follows from a slot's eigensystem: `V†`, the propagator
 /// phases and `U_s = V·diag·V†`, with `t1` as scratch.
-fn build_bundle(slot: &mut SlotScratch, t1: &mut Matrix, dt: f64) {
-    let dim = slot.eig.values.len();
-    slot.eig.vectors.dagger_into(&mut slot.vdag);
-    slot.phases.clear();
-    slot.phases
-        .extend(slot.eig.values.iter().map(|&l| Complex64::cis(-l * dt)));
+fn build_bundle(eig: &HermitianEig, bundle: &mut SlotBundle, t1: &mut Matrix, dt: f64) {
+    let dim = eig.values.len();
+    eig.vectors.dagger_into(&mut bundle.vdag);
+    bundle.phases.clear();
+    bundle
+        .phases
+        .extend(eig.values.iter().map(|&l| Complex64::cis(-l * dt)));
     // U_s = V·diag(phases)·V†: scale V's columns, then one product.
-    t1.copy_from(&slot.eig.vectors);
+    t1.copy_from(&eig.vectors);
     for row in t1.as_mut_slice().chunks_exact_mut(dim) {
-        for (z, ph) in row.iter_mut().zip(&slot.phases) {
+        for (z, ph) in row.iter_mut().zip(&bundle.phases) {
             *z *= *ph;
         }
     }
-    t1.matmul_into(&slot.vdag, &mut slot.prop);
+    t1.matmul_into(&bundle.vdag, &mut bundle.prop);
 }
 
 /// Phase-invariant fidelity `|Tr(A†U)|/d`, with the gradient w.r.t. every
-/// control amplitude written into `ws.grad` (channel-major).
+/// control amplitude written into `ws.grad` (channel-major). `slots` are
+/// the evaluating restart's, one per time slot, and `ws` must hold their
+/// bundles.
 ///
 /// In exact mode the gradient pulls the whole contraction back into the
 /// lab frame: with trace kernel `K = V†·W·V` and `Q = V·(φᵀ∘K)·V†`, each
@@ -836,6 +775,7 @@ fn fidelity_and_gradient(
     adag: &Matrix,
     controls: &[Vec<f64>],
     config: &GrapeConfig,
+    slots: &mut [SlotState],
     ws: &mut GrapeWorkspace,
 ) -> Result<f64, GrapeError> {
     let n_slots = controls[0].len();
@@ -850,7 +790,7 @@ fn fidelity_and_gradient(
     // is recomputed, its eigensolver warm-started from the slot's
     // previous basis.
     let GrapeWorkspace {
-        slots,
+        bundles,
         prefix,
         suffix,
         grad,
@@ -859,7 +799,8 @@ fn fidelity_and_gradient(
         t2,
         kern,
     } = ws;
-    for (s, slot) in slots[..n_slots].iter_mut().enumerate() {
+    let bundles = &mut bundles[..n_slots];
+    for (s, (slot, bundle)) in slots.iter_mut().zip(bundles.iter_mut()).enumerate() {
         let hit = slot
             .amps
             .iter()
@@ -871,7 +812,7 @@ fn fidelity_and_gradient(
         for (a, c) in slot.amps.iter_mut().zip(controls) {
             *a = c[s];
         }
-        if prepare_slot(slot, h, t1, device, dt).is_err() {
+        if prepare_slot(slot, bundle, h, t1, device, dt).is_err() {
             return Err(GrapeError::Numerical(format!(
                 "eigendecomposition failed on slot {s}"
             )));
@@ -882,12 +823,12 @@ fn fidelity_and_gradient(
     // into the suffix, suffix[s] = A†·U_last···U_s.
     for s in 1..n_slots {
         let (head, tail) = prefix.split_at_mut(s);
-        slots[s - 1].prop.matmul_into(&head[s - 1], &mut tail[0]);
+        bundles[s - 1].prop.matmul_into(&head[s - 1], &mut tail[0]);
     }
     suffix[n_slots].copy_from(adag);
     for s in (0..n_slots).rev() {
         let (head, tail) = suffix.split_at_mut(s + 1);
-        tail[0].matmul_into(&slots[s].prop, &mut head[s]);
+        tail[0].matmul_into(&bundles[s].prop, &mut head[s]);
     }
     // f = Tr(A†·U_total) = Tr(suffix[0]).
     let f_complex: Complex64 = (0..dim).map(|i| suffix[0][(i, i)]).sum();
@@ -896,13 +837,13 @@ fn fidelity_and_gradient(
     let f_conj = f_complex.conj();
 
     // Per-slot gradient.
-    for (s, slot) in slots[..n_slots].iter().enumerate() {
+    for (s, (slot, bundle)) in slots.iter().zip(bundles.iter()).enumerate() {
         // W = prefix[s]·A†·U_last···U_{s+1}; df_j = Tr(W·dU_j).
         prefix[s].matmul_into(&suffix[s + 1], t2);
         match mode {
             GradientMode::Exact => {
                 // K = V†·W·V, the trace kernel in the slot eigenbasis.
-                slot.vdag.matmul_into(t2, t1);
+                bundle.vdag.matmul_into(t2, t1);
                 t1.matmul_into(&slot.eig.vectors, kern);
                 // dU_j = V·(φ∘(V†·H_j·V))·V† by the exact Fréchet
                 // derivative, with φ(a,b) the divided difference of
@@ -910,7 +851,7 @@ fn fidelity_and_gradient(
                 // the contraction back to the lab frame with
                 // Q = V·(φᵀ∘K)·V† turns every channel into an O(dim²)
                 // read-off — no per-channel conjugation.
-                let (values, phases) = (&slot.eig.values, &slot.phases);
+                let (values, phases) = (&slot.eig.values, &bundle.phases);
                 for b in 0..dim {
                     for a in 0..dim {
                         let (la, lb) = (values[a], values[b]);
@@ -923,12 +864,12 @@ fn fidelity_and_gradient(
                     }
                 }
                 slot.eig.vectors.matmul_into(t1, t2);
-                t2.matmul_into(&slot.vdag, kern); // kern ← Q
+                t2.matmul_into(&bundle.vdag, kern); // kern ← Q
             }
             GradientMode::FirstOrder => {
                 // dU_j = −i·dt·H_j·U_s ⇒ df_j = −i·dt·Tr(U_s·W·H_j):
                 // kern = U_s·W.
-                slot.prop.matmul_into(t2, kern);
+                bundle.prop.matmul_into(t2, kern);
             }
         }
         for (j, channel) in channels.iter().enumerate() {
@@ -972,21 +913,29 @@ mod tests {
         DeviceModel::transmon_line(1).unwrap()
     }
 
-    /// Test convenience: evaluates on `ws` and returns the gradient in the
-    /// `[channel][slot]` shape.
+    /// One restart's unprepared slots and a workspace, for `n_slots`.
+    fn fresh(device: &DeviceModel, n_slots: usize) -> (Vec<SlotState>, GrapeWorkspace) {
+        let n_ctrl = device.controls().len();
+        let slots = (0..n_slots).map(|_| SlotState::new(n_ctrl)).collect();
+        (slots, GrapeWorkspace::new(device, n_slots))
+    }
+
+    /// Test convenience: evaluates with the slots and workspace of
+    /// `state` and returns the gradient in the `[channel][slot]` shape.
     fn fidelity_and_gradient_in(
-        ws: &mut GrapeWorkspace,
+        state: &mut (Vec<SlotState>, GrapeWorkspace),
         device: &DeviceModel,
         target: &Matrix,
         controls: &[Vec<f64>],
         mode: GradientMode,
     ) -> (f64, Vec<Vec<f64>>) {
+        let (slots, ws) = state;
         let n_slots = controls[0].len();
         let config = GrapeConfig {
             gradient: mode,
             ..Default::default()
         };
-        let f = fidelity_and_gradient(device, &target.dagger(), controls, &config, ws)
+        let f = fidelity_and_gradient(device, &target.dagger(), controls, &config, slots, ws)
             .expect("gradient evaluation");
         let grad = (0..controls.len())
             .map(|j| ws.grad[j * n_slots..(j + 1) * n_slots].to_vec())
@@ -994,15 +943,15 @@ mod tests {
         (f, grad)
     }
 
-    /// [`fidelity_and_gradient_in`] on a fresh workspace.
+    /// [`fidelity_and_gradient_in`] on fresh slots and a fresh workspace.
     fn fidelity_and_gradient_alloc(
         device: &DeviceModel,
         target: &Matrix,
         controls: &[Vec<f64>],
         mode: GradientMode,
     ) -> (f64, Vec<Vec<f64>>) {
-        let mut ws = GrapeWorkspace::new(device, controls[0].len());
-        fidelity_and_gradient_in(&mut ws, device, target, controls, mode)
+        let mut state = fresh(device, controls[0].len());
+        fidelity_and_gradient_in(&mut state, device, target, controls, mode)
     }
 
     #[test]
@@ -1034,8 +983,8 @@ mod tests {
                 );
             }
         }
-        // Two qubits on one reused workspace: every evaluation runs the
-        // 4×4 eigensolver warm-started from the previous one's basis.
+        // Two qubits on one restart's reused slots: every evaluation runs
+        // the 4×4 eigensolver warm-started from the previous one's basis.
         let d2 = DeviceModel::transmon_line(2).unwrap();
         let cz = Gate::CZ.unitary_matrix();
         let controls = vec![
@@ -1044,14 +993,14 @@ mod tests {
             vec![-0.04, 0.06, 0.02],
             vec![0.03, -0.01, -0.06],
         ];
-        let mut ws = GrapeWorkspace::new(&d2, 3);
+        let mut state = fresh(&d2, 3);
         let exact = GradientMode::Exact;
-        let (f0, grad) = fidelity_and_gradient_in(&mut ws, &d2, &cz, &controls, exact);
+        let (f0, grad) = fidelity_and_gradient_in(&mut state, &d2, &cz, &controls, exact);
         for j in 0..4 {
             for s in 0..3 {
                 let mut c2 = controls.clone();
                 c2[j][s] += h;
-                let (f1, _) = fidelity_and_gradient_in(&mut ws, &d2, &cz, &c2, exact);
+                let (f1, _) = fidelity_and_gradient_in(&mut state, &d2, &cz, &c2, exact);
                 let fd = (f1 - f0) / h * 4.0;
                 let an = grad[j][s];
                 assert!(
@@ -1062,9 +1011,9 @@ mod tests {
         }
     }
 
-    /// A workspace's warm-started eigenbases change an evaluation only at
-    /// rounding level: after two other control sets, it agrees with a
-    /// fresh workspace. The last set keeps some slots of the one before
+    /// Warm-started eigenbases change an evaluation only at rounding
+    /// level: after two other control sets, reused slots agree with fresh
+    /// ones. The last set keeps some slots of the one before
     /// (cache hits), zeroes some and moves the rest by an optimizer-sized
     /// step (both warm starts: a zeroed slot recomputes from the basis of
     /// its previous, nonzero amplitudes).
@@ -1092,7 +1041,7 @@ mod tests {
                 }
             }
         }
-        let mut reused = GrapeWorkspace::new(&d, n_slots);
+        let mut reused = fresh(&d, n_slots);
         for controls in [&first, &second] {
             fidelity_and_gradient_in(&mut reused, &d, &cz, controls, GradientMode::Exact);
         }
@@ -1375,50 +1324,64 @@ mod tests {
         Failed,
     }
 
-    /// Decides a run against the search threshold, finishes it, and checks
-    /// the result against an uninterrupted [`grape`] run bit for bit.
+    /// Starts one run per entry of `slots` on one session, decides each
+    /// against the search threshold in order, then finishes each in order,
+    /// and checks every result against an uninterrupted [`grape`] run bit
+    /// for bit. Returns how each decision stopped.
     fn decide_then_finish(
         device: &DeviceModel,
         target: &Matrix,
-        n_slots: usize,
+        slots: &[usize],
         config: &GrapeConfig,
-    ) -> Decided {
-        let plain = grape(device, target, n_slots, config).unwrap();
+    ) -> Vec<Decided> {
         let cancel = CancelScope::none();
         let mut session = GrapeSession::new(device, target, config, &cancel);
-        let mut run = session.start(n_slots).unwrap();
-        let pass = session.decide(&mut run, 0.999).unwrap();
-        let decided = match (pass, run.restarts.iter().all(|r| r.ended)) {
-            (true, _) => Decided::Reached,
-            (false, false) => Decided::Stalled,
-            (false, true) => Decided::Failed,
-        };
-        let finished = session.finish(run).unwrap();
-        let case = format!("{n_slots} slots, {decided:?}");
-        assert_eq!(
-            finished.fidelity.to_bits(),
-            plain.fidelity.to_bits(),
-            "{case}"
-        );
-        assert_eq!(finished.iterations, plain.iterations, "{case}");
-        assert_eq!(finished.total_iterations, plain.total_iterations, "{case}");
-        for (a, b) in finished.controls.iter().zip(&plain.controls) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{case}");
+        let mut runs: Vec<GrapeRun> = slots.iter().map(|&n| session.start(n).unwrap()).collect();
+        let decided: Vec<Decided> = runs
+            .iter_mut()
+            .map(|run| {
+                let pass = session.decide(run, 0.999).unwrap();
+                match (pass, run.restarts.iter().all(|r| r.ended)) {
+                    (true, _) => Decided::Reached,
+                    (false, false) => Decided::Stalled,
+                    (false, true) => Decided::Failed,
+                }
+            })
+            .collect();
+        for (run, decided) in runs.into_iter().zip(&decided) {
+            let n_slots = run.n_slots();
+            let plain = grape(device, target, n_slots, config).unwrap();
+            let finished = session.finish(run).unwrap();
+            let case = format!("{n_slots} of {slots:?} slots, {decided:?}");
+            assert_eq!(
+                finished.fidelity.to_bits(),
+                plain.fidelity.to_bits(),
+                "{case}"
+            );
+            assert_eq!(finished.iterations, plain.iterations, "{case}");
+            assert_eq!(finished.total_iterations, plain.total_iterations, "{case}");
+            for (a, b) in finished.controls.iter().zip(&plain.controls) {
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{case}");
+                }
             }
+            assert_eq!(finished.unitary, plain.unitary, "{case}");
         }
-        assert_eq!(finished.unitary, plain.unitary, "{case}");
         decided
     }
 
     /// Stopping a run at its provisional verdict and resuming it changes
     /// nothing: each restart's controls, Adam moments and slot
-    /// eigensystems survive the suspension bit for bit. Covers runs that
+    /// eigensystems survive the pause bit for bit. Covers runs that
     /// reach the threshold, that stall (the 2-qubit ones at 72 slots under
     /// `transmon_awg_8bit` stall restart 0 and then reach the threshold in
     /// restart 1), and that fail outright (too few iterations for the
     /// stall test), with ideal electronics and under `transmon_awg_8bit`,
-    /// where amplitudes saturate and slot-cache hits matter.
+    /// where amplitudes saturate and slot-cache hits matter. Each target
+    /// also decides two runs on one session before finishing either, as
+    /// the duration search does with its bracket's ends, so a run resumes
+    /// on a workspace that another run at another slot count used last
+    /// (the larger count first on every other target).
     #[test]
     fn deciding_then_finishing_matches_an_uninterrupted_run() {
         let d1 = device1();
@@ -1440,12 +1403,23 @@ mod tests {
                 max_iters: STALL_WINDOW - 5,
                 ..config.clone()
             };
-            for (device, gate, slots) in &cases {
+            for (i, (device, gate, slots)) in cases.iter().enumerate() {
                 let target = gate.unitary_matrix();
                 for &n in slots {
-                    seen.push(decide_then_finish(device, &target, n, &config));
+                    seen.extend(decide_then_finish(device, &target, &[n], &config));
                 }
-                seen.push(decide_then_finish(device, &target, slots[0], &short));
+                seen.extend(decide_then_finish(device, &target, &slots[..1], &short));
+                let pair = if i % 2 == 0 {
+                    [slots[1], slots[0]]
+                } else {
+                    *slots
+                };
+                let decided = decide_then_finish(device, &target, &pair, &config);
+                assert!(
+                    decided.contains(&Decided::Reached) && decided.contains(&Decided::Stalled),
+                    "{gate:?} at {pair:?} slots: {decided:?}"
+                );
+                seen.extend(decided);
             }
         }
         seen.sort();
