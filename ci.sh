@@ -62,11 +62,14 @@ fi
 # path force-selected via EPOC_SIMD (the normal test run above covers
 # auto-detection; EPOC_SIMD=1 is "auto", which on AVX2 hardware is the
 # vector path, and EPOC_SIMD=0 forces the portable fallback). GRAPE's
-# tests and its pinned pulse durations run on the scalar path too.
+# tests and its pinned pulse durations run on the scalar path too, and so
+# do the statevector's (its 1-qubit gates run on the pair-mix kernels) and
+# the ZX pass's, which probes its rewrites on that statevector.
 run env EPOC_SIMD=1 cargo test -q -p epoc-linalg
 run env EPOC_SIMD=0 cargo test -q -p epoc-linalg
 run env EPOC_SIMD=0 cargo test -q -p epoc-qoc
 run env EPOC_SIMD=0 cargo test -q -p epoc --test grape_durations
+run env EPOC_SIMD=0 cargo test -q -p epoc-circuit -p epoc-zx
 
 # bench-check: a quick bench run (3 samples per stage) writes
 # target/BENCH_stages.json and fails if any stage's median regressed more

@@ -44,4 +44,4 @@ pub use euler::{
 };
 pub use gate::{controlled, Gate};
 pub use qasm::{parse_qasm, to_qasm, ParseQasmError};
-pub use sim::{circuits_equivalent, simulate, StateVector};
+pub use sim::{circuits_equivalent, simulate, StateVector, VERIFY_QUBIT_LIMIT};

@@ -108,10 +108,65 @@ impl StateVector {
     }
 
     /// Applies an arbitrary `2^k`-dimensional matrix to `k` qubits in place.
+    ///
+    /// One- and two-qubit matrices run on stride kernels that allocate
+    /// nothing; wider ones gather and scatter each `2^k`-amplitude group.
     pub fn apply_matrix(&mut self, m: &Matrix, qubits: &[usize]) {
+        assert_eq!(m.rows(), 1 << qubits.len(), "matrix dim mismatch");
+        match *qubits {
+            [q] => self.apply_1q(m, q),
+            [q0, q1] => self.apply_2q(m, q0, q1),
+            _ => self.apply_general(m, qubits),
+        }
+    }
+
+    /// One qubit: the amplitude pairs `(i, i|b)` for the qubit's bit `b`
+    /// are the two halves of each `2b`-amplitude chunk, mixed by the
+    /// synthesis kernels (`g·a + h·b`; the general loop's `(0 + g·a) + h·b`
+    /// differs from it only in the sign of exact zeros).
+    fn apply_1q(&mut self, m: &Matrix, q: usize) {
+        let (g00, g01, g10, g11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
+        let stride = 1usize << (self.n_qubits - 1 - q);
+        if stride == 1 {
+            epoc_linalg::mix_adjacent(&mut self.amps, g00, g01, g10, g11);
+            return;
+        }
+        for chunk in self.amps.chunks_exact_mut(2 * stride) {
+            let (lo, hi) = chunk.split_at_mut(stride);
+            epoc_linalg::mix_pair(lo, hi, g00, g01, g10, g11);
+        }
+    }
+
+    /// Two qubits: each quadruple `(r, r|b1, r|b0, r|b0|b1)`, `b0` the
+    /// first qubit's bit, is mixed with the general loop's operations in
+    /// its order (each row summed from zero over the columns).
+    fn apply_2q(&mut self, m: &Matrix, q0: usize, q1: usize) {
+        let n = self.n_qubits;
+        let (b0, b1) = (1usize << (n - 1 - q0), 1usize << (n - 1 - q1));
+        let (lo, hi) = (b0.min(b1), b0.max(b1));
+        let amps = &mut self.amps;
+        // `r` runs over the indices with both bits clear.
+        for outer in (0..amps.len()).step_by(2 * hi) {
+            for mid in (outer..outer + hi).step_by(2 * lo) {
+                for r in mid..mid + lo {
+                    let idx = [r, r | b1, r | b0, r | b0 | b1];
+                    let local = idx.map(|i| amps[i]);
+                    for (row, &i) in m.as_slice().chunks_exact(4).zip(&idx) {
+                        amps[i] = row
+                            .iter()
+                            .zip(&local)
+                            .fold(Complex64::ZERO, |acc, (&g, &a)| acc + g * a);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Any number of qubits: gathers the `2^k` amplitudes of every
+    /// assignment of the untouched qubits, multiplies, and scatters back.
+    fn apply_general(&mut self, m: &Matrix, qubits: &[usize]) {
         let k = qubits.len();
         let dk = 1usize << k;
-        assert_eq!(m.rows(), dk, "matrix dim mismatch");
         let n = self.n_qubits;
         let shifts: Vec<usize> = qubits.iter().map(|&q| n - 1 - q).collect();
         let full_mask = (1usize << n) - 1;
@@ -187,6 +242,11 @@ pub fn simulate(circuit: &Circuit) -> StateVector {
     s
 }
 
+/// Widest register statevector probing ([`circuits_equivalent`]) is
+/// affordable for: the pipeline's verification and the ZX pass's rewrite
+/// probe skip wider circuits.
+pub const VERIFY_QUBIT_LIMIT: usize = 10;
+
 /// `true` when two circuits act identically (up to global phase) on a set of
 /// probe states: all computational basis states plus superposition probes.
 ///
@@ -232,6 +292,7 @@ pub fn circuits_equivalent(a: &Circuit, b: &Circuit, tol: f64) -> bool {
 mod tests {
     use super::*;
     use crate::gate::Gate;
+    use epoc_rt::rng::Rng;
 
     #[test]
     fn zero_state_probabilities() {
@@ -371,5 +432,134 @@ mod tests {
     #[should_panic(expected = "not normalized")]
     fn from_amplitudes_checks_norm() {
         StateVector::from_amplitudes(vec![Complex64::ONE, Complex64::ONE]);
+    }
+
+    /// A normalized state on `n` qubits: random amplitudes, or (half the
+    /// time) a basis state, whose exact zeros the kernels must carry too.
+    fn random_state(g: &mut epoc_rt::check::Gen, n: usize) -> StateVector {
+        if g.bool() {
+            return StateVector::basis(n, g.usize_in(0, 1 << n));
+        }
+        let amps: Vec<Complex64> = (0..1 << n)
+            .map(|_| c64(g.f64_in(-1.0, 1.0), g.f64_in(-1.0, 1.0)))
+            .collect();
+        let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+        StateVector::from_amplitudes(amps.iter().map(|a| *a / norm).collect())
+    }
+
+    #[test]
+    fn stride_kernels_match_the_general_loop() {
+        use epoc_linalg::random_unitary;
+        let named_1q = [
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::T,
+            Gate::Sx,
+            Gate::RX(0.7),
+            Gate::RY(-1.3),
+            Gate::RZ(2.1),
+            Gate::Phase(0.4),
+        ];
+        let named_2q = [
+            Gate::CX,
+            Gate::CY,
+            Gate::CZ,
+            Gate::CH,
+            Gate::Swap,
+            Gate::CRX(0.9),
+            Gate::CPhase(-0.6),
+            Gate::RZZ(1.1),
+            Gate::RXX(0.3),
+        ];
+        epoc_rt::check::property("stride_kernels_match_the_general_loop")
+            .cases(24)
+            .run(|g| {
+                let n = g.usize_in(1, 8);
+                let mut state = random_state(g, n);
+                let mut rng = epoc_rt::rng::StdRng::seed_from_u64(g.u64_in(0, u64::MAX));
+                // Applies `m` both ways to the running state and demands
+                // equal amplitudes (`==` on re and im, which equates ±0).
+                let mut check = |m: &Matrix, qubits: &[usize], what: &str| {
+                    let mut general = state.clone();
+                    general.apply_general(m, qubits);
+                    state.apply_matrix(m, qubits);
+                    for (i, (a, b)) in state.amps.iter().zip(&general.amps).enumerate() {
+                        assert!(
+                            a.re == b.re && a.im == b.im,
+                            "{what} on {qubits:?} of {n} qubits: amplitude {i} {a} != {b}"
+                        );
+                    }
+                };
+                for q in 0..n {
+                    check(&random_unitary(2, &mut rng), &[q], "random 2x2");
+                    for gate in &named_1q {
+                        check(&gate.unitary_matrix(), &[q], &gate.to_string());
+                    }
+                }
+                for q0 in 0..n {
+                    for q1 in (0..n).filter(|&q1| q1 != q0) {
+                        check(&random_unitary(4, &mut rng), &[q0, q1], "random 4x4");
+                        for gate in &named_2q {
+                            check(&gate.unitary_matrix(), &[q0, q1], &gate.to_string());
+                        }
+                    }
+                }
+            });
+    }
+
+    #[test]
+    fn circuits_equivalent_rejects_near_misses() {
+        // A random 6-qubit circuit that holds a CX on every ordered pair.
+        let n = 6;
+        let mut rng = epoc_rt::rng::StdRng::seed_from_u64(2405);
+        let mut pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+            .collect();
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..=i));
+        }
+        let mut ops: Vec<(Gate, Vec<usize>)> = Vec::new();
+        for &(a, b) in &pairs {
+            for q in [a, b] {
+                ops.push((Gate::RY(rng.gen_f64() * 3.0), vec![q]));
+                ops.push((Gate::RZ(rng.gen_f64() * 3.0), vec![q]));
+            }
+            ops.push((Gate::CX, vec![a, b]));
+        }
+        let build = |ops: &[(Gate, Vec<usize>)]| {
+            let mut c = Circuit::new(n);
+            for (gate, qubits) in ops {
+                c.push(gate.clone(), qubits);
+            }
+            c
+        };
+        let original = build(&ops);
+        assert!(circuits_equivalent(&original, &build(&ops), 1e-6));
+        // The probes miss an RZ(1e-4) on some qubit of this circuit; 1e-3
+        // is caught on every one.
+        let middle = ops.len() / 2;
+        for q in 0..n {
+            let mut near = ops.clone();
+            near.insert(middle, (Gate::RZ(1e-3), vec![q]));
+            assert!(
+                !circuits_equivalent(&original, &build(&near), 1e-6),
+                "an RZ(1e-3) inserted on qubit {q} went unseen"
+            );
+        }
+        for &(a, b) in &pairs {
+            let mut near = ops.clone();
+            let at = near
+                .iter()
+                .position(|(gate, qubits)| *gate == Gate::CX && *qubits == [a, b])
+                .expect("every ordered pair holds a CX");
+            near[at].1 = vec![b, a];
+            assert!(
+                !circuits_equivalent(&original, &build(&near), 1e-6),
+                "CX({a},{b}) turned into CX({b},{a}) went unseen"
+            );
+        }
     }
 }

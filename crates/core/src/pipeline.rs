@@ -17,7 +17,7 @@ use crate::report::{
     CompilationReport, HardwareStats, RecoveryRecord, StageStats, StageTimings, RUNG_HW_DIGITAL,
     RUNG_SCHEDULE_RECOMPUTE, RUNG_SYNTH_BUDGET, RUNG_SYNTH_FALLBACK,
 };
-use epoc_circuit::{circuits_equivalent, Circuit, Gate};
+use epoc_circuit::{circuits_equivalent, Circuit, Gate, VERIFY_QUBIT_LIMIT};
 use epoc_linalg::Matrix;
 use epoc_partition::{greedy_partition, regroup, Partition, PartitionConfig};
 use epoc_pulse::{FrameUpdate, PulsePayload, PulseSchedule, ScheduledPulse};
@@ -32,8 +32,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Register width above which semantic verification is skipped.
-const VERIFY_LIMIT: usize = 10;
 /// Block width above which the dense unitary is not materialized.
 const DENSE_LIMIT: usize = 8;
 /// Circuits the front-half memo holds at once (see [`FrontMemo`]).
@@ -768,13 +766,15 @@ impl EpocCompiler {
         drop(stage_span);
 
         // Verification: the synthesized stream must implement the input.
+        let stage_span = epoc_rt::telemetry::span("stage", "verify");
         let (verified, verify_skipped) = if !self.config.verify {
             (false, true)
-        } else if circuit.n_qubits() <= VERIFY_LIMIT {
+        } else if circuit.n_qubits() <= VERIFY_QUBIT_LIMIT {
             (circuits_equivalent(circuit, &vug_stream, 1e-3), false)
         } else {
             (false, true)
         };
+        drop(stage_span);
 
         Ok(FrontHalf {
             stages,

@@ -1,16 +1,18 @@
 //! Top-level graph-based depth optimization (the paper's §3.1).
 //!
 //! [`zx_optimize`] runs the full pipeline — lower → convert → simplify →
-//! extract → peephole cleanup — and keeps the result only when it is both
-//! semantically verified (for circuits small enough to probe) and no worse
-//! in depth than the input. Falling back to the original circuit on any
-//! failure makes the pass safe to apply unconditionally.
+//! extract → peephole cleanup — and keeps the result only when it lowers
+//! the [`latency_cost`] of the input (or ties it with fewer gates) and is
+//! semantically verified (for circuits small enough to probe); only a
+//! rewrite the cheap cost test would keep is probed. Falling back to the
+//! original circuit on any failure makes the pass safe to apply
+//! unconditionally.
 
 use crate::convert::circuit_to_graph;
 use crate::extract::extract_circuit;
 use crate::phase::Phase;
 use crate::simplify::full_reduce;
-use epoc_circuit::{circuits_equivalent, Circuit, Gate};
+use epoc_circuit::{circuits_equivalent, Circuit, Gate, VERIFY_QUBIT_LIMIT};
 
 /// Outcome of [`zx_optimize`].
 #[derive(Debug, Clone)]
@@ -45,13 +47,10 @@ impl ZxOptResult {
     }
 }
 
-/// Maximum register size for which the optimized circuit is re-verified
-/// against the input by statevector probing.
-const VERIFY_QUBIT_LIMIT: usize = 10;
-
 /// Optimizes a circuit through the ZX pipeline, returning the input
 /// unchanged (flagged `optimized: false`) when conversion, extraction, or
-/// verification fails or the result is deeper than the input.
+/// verification fails or the result does not lower the input's latency
+/// cost.
 pub fn zx_optimize(circuit: &Circuit) -> ZxOptResult {
     let _span = epoc_rt::telemetry::span("zx", "zx_optimize");
     let gates_before = circuit.len();
@@ -83,11 +82,6 @@ pub fn zx_optimize(circuit: &Circuit) -> ZxOptResult {
     };
     let cleaned = peephole_cleanup(&extracted);
 
-    if circuit.n_qubits() <= VERIFY_QUBIT_LIMIT
-        && !circuits_equivalent(circuit, &cleaned, 1e-6)
-    {
-        return fallback(circuit);
-    }
     // Keep the rewrite only when it does not increase the *latency-like*
     // cost: the critical path under pulse-realistic gate weights (virtual
     // Z rotations free, one unit per single-qubit pulse, ~8.5 units per
@@ -101,7 +95,13 @@ pub fn zx_optimize(circuit: &Circuit) -> ZxOptResult {
     let (cost_new, cost_old) = (latency_cost(&cleaned), latency_cost(&lowered));
     let improves = cost_new < cost_old
         || (cost_new == cost_old && cleaned.len() < lowered.len());
-    if !improves {
+    // Both tests are pure, so probing only a rewrite the price would keep
+    // decides as probing first would; the price is far cheaper, and on
+    // wide random circuits it rejects nearly every rewrite.
+    if !improves
+        || (circuit.n_qubits() <= VERIFY_QUBIT_LIMIT
+            && !circuits_equivalent(circuit, &cleaned, 1e-6))
+    {
         return fallback(circuit);
     }
     ZxOptResult {

@@ -87,7 +87,7 @@ fn trace_contains_all_stage_spans_and_qoc_children() {
     let _guard = lock();
     let (spans, _) = traced_compile();
 
-    for stage in ["zx", "partition", "synth", "regroup", "pulse"] {
+    for stage in ["zx", "partition", "synth", "regroup", "verify", "pulse"] {
         assert_eq!(
             spans.iter().filter(|s| s.cat == "stage" && s.name == stage).count(),
             1,
