@@ -64,12 +64,16 @@ fi
 # vector path, and EPOC_SIMD=0 forces the portable fallback). GRAPE's
 # tests and its pinned pulse durations run on the scalar path too, and so
 # do the statevector's (its 1-qubit gates run on the pair-mix kernels) and
-# the ZX pass's, which probes its rewrites on that statevector.
+# the ZX pass's, which probes its rewrites on that statevector. So do
+# the synthesis tests: QSearch's template evaluator runs on mix_pair,
+# mix_adjacent and mixed_pair_trace, and its pinned result digests must
+# hold on both paths.
 run env EPOC_SIMD=1 cargo test -q -p epoc-linalg
 run env EPOC_SIMD=0 cargo test -q -p epoc-linalg
 run env EPOC_SIMD=0 cargo test -q -p epoc-qoc
 run env EPOC_SIMD=0 cargo test -q -p epoc --test grape_durations
 run env EPOC_SIMD=0 cargo test -q -p epoc-circuit -p epoc-zx
+run env EPOC_SIMD=0 cargo test -q -p epoc-synth
 
 # bench-check: a quick bench run (3 samples per stage) writes
 # target/BENCH_stages.json and fails if any stage's median regressed more

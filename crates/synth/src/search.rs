@@ -6,10 +6,27 @@
 //! target; the search pops the node minimizing
 //! `distance + cnot_weight · #CNOTs` until a node reaches the accuracy
 //! threshold (`AccuracyThreshold` in the paper's pseudocode).
+//!
+//! The search skips two kinds of instantiation whose result nothing
+//! reads:
+//!
+//! * an expansion instantiates its children in pair order and stops at
+//!   the first that converges (or that reaches `max_nodes`), since the
+//!   search ends there either way;
+//! * the root (one VUG per wire) is not instantiated when the operator
+//!   Schmidt bound (`product_cost_bound`) shows that no product of
+//!   1-qubit gates comes within the threshold. It still counts as node 1
+//!   and is expanded first; it is instantiated only if the search ends
+//!   without converging, where it competes for the best-effort result
+//!   exactly as if it had been instantiated first.
+//!
+//! Every [`SynthResult`] is the one the eager search gives, since each
+//! node's instantiation depends only on its structure and creation
+//! number.
 
 use crate::template::{InstantiateOptions, Template};
 use epoc_circuit::{Circuit, Gate};
-use epoc_linalg::Matrix;
+use epoc_linalg::{eigh, Complex64, Matrix};
 use epoc_rt::faults;
 use epoc_rt::rng::StdRng;
 use std::cmp::Ordering;
@@ -99,7 +116,9 @@ pub struct SynthResult {
     pub distance: f64,
     /// CNOT count of the result.
     pub cnots: usize,
-    /// Nodes instantiated during search.
+    /// Nodes the search scored, the root included. A root that the
+    /// Schmidt bound rules out still counts, although it is instantiated
+    /// only when the search ends without converging.
     pub nodes_evaluated: usize,
     /// `true` when the threshold was met (otherwise best-effort result).
     pub converged: bool,
@@ -212,18 +231,7 @@ pub fn synthesize_with_cancel(
         return Err(SynthError::NotUnitary);
     }
     let n = dim.trailing_zeros() as usize;
-    // Optimizing below the success threshold is wasted work: stop the
-    // numerical instantiation once cost = distance² is good enough.
-    let config = &SynthConfig {
-        instantiate: crate::template::InstantiateOptions {
-            cost_threshold: config
-                .instantiate
-                .cost_threshold
-                .max(config.distance_threshold * config.distance_threshold * 0.25),
-            ..config.instantiate
-        },
-        ..config.clone()
-    };
+    let config = &search_config(config);
 
     // Single-qubit targets: one VUG, no search.
     if n == 1 {
@@ -261,10 +269,41 @@ pub fn synthesize_with_cancel(
         }
     };
 
-    let root = evaluate(Template::initial(n), 0);
+    // The root is node 1 either way. A deferred one enters the heap
+    // uninstantiated: it is popped first, alone, and cannot converge.
+    let defer_root = root_is_out_of_reach(target, config.distance_threshold);
+    let root = if defer_root {
+        Node {
+            template: Rc::new(Template::initial(n)),
+            params: Rc::new(Vec::new()),
+            distance: f64::INFINITY,
+            score: f64::INFINITY,
+            seq: 0,
+        }
+    } else {
+        evaluate(Template::initial(n), 0)
+    };
+    // Every scored node in creation order. A non-converged exit returns
+    // the best of them by the eager search's rule: start from the root,
+    // and take each child closer than the best so far by more than 1e-12.
+    // A deferred root is instantiated only then.
+    let mut evaluated = vec![root.share()];
+    let best_effort = |evaluated: &[Node]| -> Node {
+        let (root, children) = evaluated.split_first().expect("the root is always scored");
+        let mut best = if defer_root {
+            evaluate(Template::initial(n), 0)
+        } else {
+            root.share()
+        };
+        for child in children {
+            if child.distance < best.distance - 1e-12 {
+                best = child.share();
+            }
+        }
+        best
+    };
     let mut next_seq = 1u64;
     let mut nodes_evaluated = 1usize;
-    let mut best = root.share();
     let mut heap = BinaryHeap::new();
     heap.push(root);
 
@@ -279,7 +318,7 @@ pub fn synthesize_with_cancel(
             faults::mix(config.max_nodes as u64, config.seed),
         );
         if faults::fail_point_keyed("qsearch.budget", key) {
-            return Ok(finish(best, nodes_evaluated, false));
+            return Ok(finish(best_effort(&evaluated), nodes_evaluated, false));
         }
     }
 
@@ -302,32 +341,85 @@ pub fn synthesize_with_cancel(
             Ok(false) => break,
             Err(reason) => return Err(SynthError::Canceled(reason)),
         }
-        // Expand: instantiate every child, then merge them in pair order.
-        let children: Vec<Node> = pairs
-            .iter()
-            .map(|&(c, t)| {
-                let mut template = (*node.template).clone();
-                template.push_cell(c, t);
-                let seq = next_seq;
-                next_seq += 1;
-                evaluate(template, seq)
-            })
-            .collect();
-        for child in children {
+        // Expand: instantiate the children in pair order, up to the first
+        // that ends the search.
+        for (seq, &(c, t)) in (next_seq..).zip(&pairs) {
+            let mut template = (*node.template).clone();
+            template.push_cell(c, t);
+            let child = evaluate(template, seq);
             nodes_evaluated += 1;
-            if child.distance < best.distance - 1e-12 {
-                best = child.share();
-            }
             if child.distance < config.distance_threshold {
                 return Ok(finish(child, nodes_evaluated, true));
             }
+            evaluated.push(child.share());
             heap.push(child);
             if nodes_evaluated >= config.max_nodes {
                 break 'search;
             }
         }
+        next_seq += pairs.len() as u64;
     }
-    Ok(finish(best, nodes_evaluated, false))
+    Ok(finish(best_effort(&evaluated), nodes_evaluated, false))
+}
+
+/// `config` as the search runs it. Optimizing below the success
+/// threshold is wasted work, so the numerical instantiation stops once
+/// cost = distance² is a quarter of the threshold's square.
+fn search_config(config: &SynthConfig) -> SynthConfig {
+    SynthConfig {
+        instantiate: InstantiateOptions {
+            cost_threshold: config
+                .instantiate
+                .cost_threshold
+                .max(config.distance_threshold * config.distance_threshold * 0.25),
+            ..config.instantiate
+        },
+        ..config.clone()
+    }
+}
+
+/// A lower bound on the cost `1 − |Tr(T†·(A⊗B))|/d` of every product
+/// `A⊗B` of a 1-qubit unitary `A` on qubit 0 and a unitary `B` on the
+/// rest, so of every instantiation of the root template.
+///
+/// Realign the `d×d` target `T` across that cut into the `4 × (d/2)²`
+/// matrix `R` whose rows are `T`'s four `d/2 × d/2` blocks. Then
+/// `Tr(T†·(A⊗B)) = vec(A)ᵀ·conj(R)·vec(B)`, whose modulus is at most
+/// `σ_max·‖A‖_F·‖B‖_F = σ_max·√d` (the operator-Schmidt decomposition;
+/// Nielsen et al., Phys. Rev. A 67, 052301). `σ_max²` is the largest
+/// eigenvalue of the blocks' 4×4 Gram matrix `R·R†`, whose trace is `d`,
+/// so the bound lies in `[0, 1]` and is zero (to rounding) on products.
+fn product_cost_bound(target: &Matrix) -> f64 {
+    let d = target.rows();
+    let h = d / 2;
+    let block_row = |p: usize, k: usize| {
+        let col = (p & 1) * h;
+        &target.row((p >> 1) * h + k)[col..col + h]
+    };
+    let mut gram = Matrix::zeros(4, 4);
+    for p in 0..4 {
+        for q in p..4 {
+            let mut s = Complex64::ZERO;
+            for k in 0..h {
+                for (x, y) in block_row(p, k).iter().zip(block_row(q, k)) {
+                    s += *x * y.conj();
+                }
+            }
+            gram[(p, q)] = s;
+            gram[(q, p)] = s.conj();
+        }
+    }
+    // A failed decomposition (not possible for a finite unitary target)
+    // gives the bound 0, which never defers.
+    let sigma_sq = eigh(&gram).map_or(d as f64, |e| e.values[3]);
+    1.0 - (sigma_sq.max(0.0) / d as f64).sqrt()
+}
+
+/// Whether the root template provably misses `distance_threshold`: its
+/// Schmidt bound exceeds the threshold's square by a margin far above
+/// the rounding of both the bound and an instantiated cost.
+fn root_is_out_of_reach(target: &Matrix, distance_threshold: f64) -> bool {
+    product_cost_bound(target) > distance_threshold * distance_threshold + 1e-9
 }
 
 fn finish(node: Node, nodes_evaluated: usize, converged: bool) -> SynthResult {
@@ -594,4 +686,264 @@ mod tests {
         let b = synthesize(&target, &SynthConfig::default()).unwrap();
         assert_eq!(a.circuit, b.circuit);
     }
+
+    /// A random unitary of dimension `dim` drawn from the case's choices.
+    fn drawn_unitary(g: &mut epoc_rt::check::Gen, dim: usize) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(g.u64_in(0, 1 << 40));
+        random_unitary(dim, &mut rng)
+    }
+
+    /// A random product of 1-qubit unitaries on `n` wires.
+    fn drawn_product(g: &mut epoc_rt::check::Gen, n: usize) -> Matrix {
+        let mut p = drawn_unitary(g, 2);
+        for _ in 1..n {
+            p = p.kron(&drawn_unitary(g, 2));
+        }
+        p
+    }
+
+    /// `exp(iε·Z⊗Z)` on wires 0 and 1 of `n`.
+    fn zz_phase(eps: f64, n: usize) -> Matrix {
+        let diag: Vec<Complex64> = (0..1usize << n)
+            .map(|i| {
+                let parity = ((i >> (n - 1)) ^ (i >> (n - 2))) & 1;
+                let angle = if parity == 0 { eps } else { -eps };
+                epoc_linalg::c64(angle.cos(), angle.sin())
+            })
+            .collect();
+        Matrix::from_diag(&diag)
+    }
+
+    fn iswap() -> Matrix {
+        let (o, l, i) = (Complex64::ZERO, Complex64::ONE, epoc_linalg::c64(0.0, 1.0));
+        Matrix::from_rows(&[&[l, o, o, o], &[o, o, i, o], &[o, i, o, o], &[o, o, o, l]])
+    }
+
+    #[test]
+    fn schmidt_bound_never_exceeds_an_achieved_root_cost() {
+        epoc_rt::check::property("root cost >= 1 - sigma_max/sqrt(d)")
+            .cases(40)
+            .run(|g| {
+                let n = g.usize_in(2, 4);
+                let target = match g.usize_in(0, 3) {
+                    0 => drawn_unitary(g, 1 << n),
+                    // Near products, where the bound is nearly tight.
+                    1 => zz_phase(g.f64_in(0.0, 0.3), n).matmul(&drawn_product(g, n)),
+                    _ => drawn_product(g, n),
+                };
+                let bound = product_cost_bound(&target);
+                assert!((-1e-12..=1.0 + 1e-12).contains(&bound), "bound {bound}");
+                let root = Template::initial(n);
+                let params: Vec<f64> = (0..root.n_params()).map(|_| g.f64_in(-7.0, 7.0)).collect();
+                let (cost, _) = root.cost_and_grad(&target, &params);
+                assert!(
+                    cost >= bound - 1e-12,
+                    "random root cost {cost} < bound {bound}"
+                );
+                // The optimum too: an instantiated root lands close to the
+                // bound on a near product, and never below it.
+                let mut rng = StdRng::seed_from_u64(g.u64_in(0, 1 << 40));
+                let (best, _) = root.instantiate(&target, &mut rng, &InstantiateOptions::default());
+                let (cost, _) = root.cost_and_grad(&target, &best);
+                assert!(
+                    cost >= bound - 1e-12,
+                    "instantiated root cost {cost} < bound {bound}"
+                );
+            });
+    }
+
+    #[test]
+    fn schmidt_bound_defers_exactly_the_entangling_roots() {
+        let thr = SynthConfig::default().distance_threshold;
+        epoc_rt::check::property("products are never deferred")
+            .cases(40)
+            .run(|g| {
+                let n = g.usize_in(2, 4);
+                let phase = g.f64_in(-3.2, 3.2);
+                let target = drawn_product(g, n).scale(epoc_linalg::c64(phase.cos(), phase.sin()));
+                assert!(
+                    !root_is_out_of_reach(&target, thr),
+                    "deferred a product root (bound {})",
+                    product_cost_bound(&target)
+                );
+            });
+        for n in 2..4 {
+            assert!(!root_is_out_of_reach(&Matrix::identity(1 << n), thr));
+        }
+        for (name, target) in [
+            ("cx", Gate::CX.unitary_matrix()),
+            ("cz", Gate::CZ.unitary_matrix()),
+            ("swap", Gate::Swap.unitary_matrix()),
+            ("iswap", iswap()),
+        ] {
+            assert!(
+                root_is_out_of_reach(&target, thr),
+                "{name} root not deferred"
+            );
+        }
+        epoc_rt::check::property("random unitaries are deferred")
+            .cases(40)
+            .run(|g| {
+                let n = g.usize_in(2, 4);
+                let target = drawn_unitary(g, 1 << n);
+                assert!(
+                    root_is_out_of_reach(&target, thr),
+                    "random root not deferred (bound {})",
+                    product_cost_bound(&target)
+                );
+            });
+    }
+
+    #[test]
+    fn deferred_roots_near_the_boundary_miss_the_threshold() {
+        let config = search_config(&SynthConfig::default());
+        let thr = config.distance_threshold;
+        let (mut deferred, mut kept) = (0, 0);
+        epoc_rt::check::property("a deferred near-product root misses the threshold")
+            .cases(60)
+            .run(|g| {
+                let n = g.usize_in(2, 4);
+                let eps = 10f64.powf(g.f64_in(-7.0, -2.0));
+                let target = zz_phase(eps, n).matmul(&drawn_product(g, n));
+                if !root_is_out_of_reach(&target, thr) {
+                    return;
+                }
+                let mut rng = StdRng::seed_from_u64(faults::mix(config.seed, 0));
+                let (_, dist) =
+                    Template::initial(n).instantiate(&target, &mut rng, &config.instantiate);
+                assert!(dist >= thr, "eps {eps:e}: deferred root reached {dist:e}");
+            });
+        // Both sides of the boundary are exercised.
+        for k in 0..=10 {
+            let eps = 10f64.powf(-7.0 + 0.5 * f64::from(k));
+            if root_is_out_of_reach(&zz_phase(eps, 2), thr) {
+                deferred += 1;
+            } else {
+                kept += 1;
+            }
+        }
+        assert!(deferred > 0 && kept > 0, "deferred {deferred}, kept {kept}");
+    }
+
+    /// One digest of everything a caller reads from a [`SynthResult`].
+    fn result_digest(r: &SynthResult) -> u64 {
+        let mut bytes = Vec::new();
+        bytes.extend(r.circuit.fingerprint().to_le_bytes());
+        bytes.extend(r.distance.to_bits().to_le_bytes());
+        bytes.extend((r.cnots as u64).to_le_bytes());
+        bytes.extend((r.nodes_evaluated as u64).to_le_bytes());
+        bytes.push(u8::from(r.converged));
+        epoc_rt::fnv1a(&bytes)
+    }
+
+    /// `synthesize`'s results, pinned as they were when every node was
+    /// instantiated eagerly: at the default configuration, and on
+    /// entangling targets under node and CNOT caps that end the search
+    /// with a best-effort result (the deferred root is instantiated then,
+    /// and comes back as the best or loses to a child as before).
+    #[test]
+    fn every_exit_returns_the_eager_result() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut default_cases = vec![
+            ("cx".to_string(), Gate::CX.unitary_matrix()),
+            ("swap".to_string(), Gate::Swap.unitary_matrix()),
+            (
+                "local".to_string(),
+                random_unitary(2, &mut rng).kron(&random_unitary(2, &mut rng)),
+            ),
+        ];
+        for i in 0..4 {
+            default_cases.push((format!("random{i}"), random_unitary(4, &mut rng)));
+        }
+        let near_product = zz_phase(1e-2, 2)
+            .matmul(&random_unitary(2, &mut rng).kron(&random_unitary(2, &mut rng)));
+        let entangling = [
+            ("cx", Gate::CX.unitary_matrix()),
+            ("swap", Gate::Swap.unitary_matrix()),
+            ("random0", default_cases[3].1.clone()),
+            ("near_product", near_product),
+            ("random3q", random_unitary(8, &mut rng)),
+        ];
+        let mut cases: Vec<(String, Matrix, SynthConfig)> = default_cases
+            .into_iter()
+            .map(|(name, target)| (name, target, SynthConfig::default()))
+            .collect();
+        for (name, target) in &entangling {
+            assert!(root_is_out_of_reach(target, 1e-5), "{name}");
+            for max_nodes in 1..=3 {
+                let cfg = SynthConfig {
+                    max_nodes,
+                    ..SynthConfig::default()
+                };
+                cases.push((format!("{name}/max_nodes={max_nodes}"), target.clone(), cfg));
+            }
+            for max_cnots in 0..=1 {
+                let cfg = SynthConfig {
+                    max_cnots,
+                    ..SynthConfig::default()
+                };
+                cases.push((format!("{name}/max_cnots={max_cnots}"), target.clone(), cfg));
+            }
+        }
+        let mut mismatches = Vec::new();
+        for (name, target, cfg) in &cases {
+            let r = synthesize(target, cfg).unwrap();
+            let digest = result_digest(&r);
+            let pinned = PINNED.iter().find(|(n, _)| n == name).map(|&(_, d)| d);
+            if pinned != Some(digest) {
+                mismatches.push(format!("(\"{name}\", {digest:#018x}),"));
+            }
+            // Which node a capped search returns: the deferred root wins
+            // on the near product and ties SWAP's 1-CNOT children (the
+            // 1e-12 rule keeps it), and a child beats it on random targets.
+            let winner = (r.cnots, r.nodes_evaluated);
+            match name.as_str() {
+                "near_product/max_cnots=1" | "swap/max_nodes=3" => assert_eq!(winner, (0, 3)),
+                "random0/max_nodes=2" | "random3q/max_nodes=2" => assert_eq!(winner, (1, 2)),
+                _ => {}
+            }
+        }
+        assert!(
+            mismatches.is_empty(),
+            "moved results:\n{}",
+            mismatches.join("\n")
+        );
+    }
+
+    /// `result_digest` of every case of `every_exit_returns_the_eager_result`,
+    /// recorded from the search that instantiated every node on creation.
+    const PINNED: [(&str, u64); 32] = [
+        ("cx", 0xf1afa2773003c83b),
+        ("swap", 0x644e0905485f2f66),
+        ("local", 0x2ad51ac38d26cb18),
+        ("random0", 0xc63f0eb26340db3d),
+        ("random1", 0x6fc4b7ff9da060b0),
+        ("random2", 0x0d27e3b43fbabc29),
+        ("random3", 0x26b3259218afdc35),
+        ("cx/max_nodes=1", 0x6d24ce7521da644d),
+        ("cx/max_nodes=2", 0xf1afa2773003c83b),
+        ("cx/max_nodes=3", 0xf1afa2773003c83b),
+        ("cx/max_cnots=0", 0x6d24ce7521da644d),
+        ("cx/max_cnots=1", 0xf1afa2773003c83b),
+        ("swap/max_nodes=1", 0xe24887baf6a517c2),
+        ("swap/max_nodes=2", 0x4ede325d620a21af),
+        ("swap/max_nodes=3", 0xbb73dcffcd6f2b9c),
+        ("swap/max_cnots=0", 0xe24887baf6a517c2),
+        ("swap/max_cnots=1", 0xbb73dcffcd6f2b9c),
+        ("random0/max_nodes=1", 0x6db61092f395f04f),
+        ("random0/max_nodes=2", 0x6e6e84f139ee15a1),
+        ("random0/max_nodes=3", 0xdb042f93a5531f8e),
+        ("random0/max_cnots=0", 0x6db61092f395f04f),
+        ("random0/max_cnots=1", 0xdb042f93a5531f8e),
+        ("near_product/max_nodes=1", 0xbcf96330eeaf91dd),
+        ("near_product/max_nodes=2", 0x02ba631830deafa4),
+        ("near_product/max_nodes=3", 0x9624b875c579a5b7),
+        ("near_product/max_cnots=0", 0xbcf96330eeaf91dd),
+        ("near_product/max_cnots=1", 0x9624b875c579a5b7),
+        ("random3q/max_nodes=1", 0xe93d4666ca507932),
+        ("random3q/max_nodes=2", 0x95d1d1ed7d111f76),
+        ("random3q/max_nodes=3", 0xad9232da52efef7e),
+        ("random3q/max_cnots=0", 0xe93d4666ca507932),
+        ("random3q/max_cnots=1", 0xfb3b8850a55bc7ca),
+    ];
 }
