@@ -35,6 +35,11 @@ if [ "$quick" -eq 0 ]; then
 fi
 
 run cargo test --workspace -q
+# examples: `cargo test` builds the four examples but never runs them, so
+# run each once (dev profile; about 5 s together on a 2-CPU host).
+for example in quickstart zx_optimize pulse_compile hw_constraints; do
+    run cargo run -q -p epoc --example "$example"
+done
 # replay-oracle-8q: the exact replay oracle on the four 8-qubit builtins,
 # which tests/replay_oracle.rs ignores in the plain test run for their
 # cost (about 110 s in the test profile on a 2-CPU host). The `_exact`

@@ -42,11 +42,6 @@ impl Operation {
     pub fn max_qubit(&self) -> usize {
         *self.qubits.iter().max().expect("operations touch >=1 qubit")
     }
-
-    /// `true` when this operation shares a qubit with `other`.
-    pub fn overlaps(&self, other: &Operation) -> bool {
-        self.qubits.iter().any(|q| other.qubits.contains(q))
-    }
 }
 
 impl fmt::Display for Operation {
@@ -203,29 +198,6 @@ impl Circuit {
         depth
     }
 
-    /// Greedy ASAP layering: returns the operations grouped into moments
-    /// where no two operations in a moment share a qubit.
-    pub fn moments(&self) -> Vec<Vec<&Operation>> {
-        let mut frontier = vec![0usize; self.n_qubits];
-        let mut layers: Vec<Vec<&Operation>> = Vec::new();
-        for op in &self.ops {
-            let layer = op.qubits.iter().map(|&q| frontier[q]).max().unwrap_or(0);
-            for &q in &op.qubits {
-                frontier[q] = layer + 1;
-            }
-            if layer >= layers.len() {
-                layers.resize_with(layer + 1, Vec::new);
-            }
-            layers[layer].push(op);
-        }
-        layers
-    }
-
-    /// Number of two-qubit gates.
-    pub fn two_qubit_count(&self) -> usize {
-        self.ops.iter().filter(|op| op.gate.arity() == 2).count()
-    }
-
     /// Count of gates matching a predicate.
     pub fn count_gates(&self, pred: impl Fn(&Gate) -> bool) -> usize {
         self.ops.iter().filter(|op| pred(&op.gate)).count()
@@ -253,29 +225,6 @@ impl Circuit {
             u = g.matmul(&u);
         }
         u
-    }
-
-    /// Set of qubits actually touched by at least one gate.
-    pub fn active_qubits(&self) -> Vec<usize> {
-        let mut used = vec![false; self.n_qubits];
-        for op in &self.ops {
-            for &q in &op.qubits {
-                used[q] = true;
-            }
-        }
-        used.iter()
-            .enumerate()
-            .filter_map(|(q, &u)| u.then_some(q))
-            .collect()
-    }
-
-    /// Histogram of gate names → counts.
-    pub fn gate_histogram(&self) -> std::collections::BTreeMap<&'static str, usize> {
-        let mut h = std::collections::BTreeMap::new();
-        for op in &self.ops {
-            *h.entry(op.gate.name()).or_insert(0) += 1;
-        }
-        h
     }
 }
 
@@ -320,7 +269,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.depth(), 0);
         assert!(c.unitary().approx_eq(&Matrix::identity(8), 1e-12));
-        assert!(c.active_qubits().is_empty());
     }
 
     #[test]
@@ -335,27 +283,6 @@ mod tests {
         assert_eq!(c.depth(), 2);
         c.push(Gate::CX, &[1, 2]);
         assert_eq!(c.depth(), 3);
-    }
-
-    #[test]
-    fn moments_partition_all_ops() {
-        let mut c = Circuit::new(3);
-        c.push(Gate::H, &[0])
-            .push(Gate::CX, &[0, 1])
-            .push(Gate::H, &[2])
-            .push(Gate::CX, &[1, 2]);
-        let m = c.moments();
-        let total: usize = m.iter().map(|l| l.len()).sum();
-        assert_eq!(total, 4);
-        assert_eq!(m.len(), c.depth());
-        // No qubit reuse within a moment.
-        for layer in &m {
-            for (i, a) in layer.iter().enumerate() {
-                for b in &layer[i + 1..] {
-                    assert!(!a.overlaps(b));
-                }
-            }
-        }
     }
 
     #[test]
@@ -406,18 +333,8 @@ mod tests {
             .push(Gate::CX, &[0, 1])
             .push(Gate::CX, &[1, 2])
             .push(Gate::T, &[2]);
-        assert_eq!(c.two_qubit_count(), 2);
         assert_eq!(c.count_gates(|g| matches!(g, Gate::T)), 1);
-        let h = c.gate_histogram();
-        assert_eq!(h["cx"], 2);
-        assert_eq!(h["h"], 1);
-    }
-
-    #[test]
-    fn active_qubits_skips_idle() {
-        let mut c = Circuit::new(5);
-        c.push(Gate::H, &[1]).push(Gate::CX, &[1, 3]);
-        assert_eq!(c.active_qubits(), vec![1, 3]);
+        assert_eq!(c.count_gates(|g| g.arity() == 2), 2);
     }
 
     #[test]

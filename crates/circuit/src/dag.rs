@@ -1,9 +1,9 @@
 //! Dependency DAG over a circuit's operations.
 //!
 //! Each operation depends on the previous operation touching each of its
-//! qubits. The DAG drives the greedy partitioner (gate availability), the
-//! PAQOC-like pattern miner, and latency-oriented analyses (critical path
-//! under a per-gate duration model).
+//! qubits. The DAG drives latency-oriented analyses: the critical path
+//! under a per-gate duration model, which the calibrated duration model
+//! and the ZX pass's latency test read.
 
 use crate::circuit::Circuit;
 
@@ -136,20 +136,6 @@ impl CircuitDag {
         }
         best
     }
-
-    /// Operation indices with no predecessors (the initial frontier).
-    pub fn roots(&self) -> Vec<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.preds.is_empty().then_some(i))
-            .collect()
-    }
-
-    /// A topological order (program order is always valid here).
-    pub fn topo_order(&self) -> Vec<usize> {
-        (0..self.nodes.len()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -199,12 +185,6 @@ mod tests {
         assert_eq!(dag.layers().len(), c.depth());
         let total: usize = dag.layers().iter().map(|l| l.len()).sum();
         assert_eq!(total, c.len());
-    }
-
-    #[test]
-    fn roots_are_predecessor_free() {
-        let dag = CircuitDag::new(&sample());
-        assert_eq!(dag.roots(), vec![0, 1, 3]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! * [`Gate`] / [`Circuit`] — the gate set and circuit IR all EPOC passes
 //!   operate on, including opaque [`Gate::Unitary`] blocks for synthesized
 //!   VUGs and regrouped unitaries.
-//! * [`CircuitDag`] — dependency DAG (drives partitioning & latency models).
+//! * [`CircuitDag`] — dependency DAG (drives the latency models).
 //! * [`parse_qasm`] / [`to_qasm`] — OpenQASM 2.0 import/export.
 //! * [`StateVector`] / [`simulate`] / [`circuits_equivalent`] — statevector
 //!   simulation for semantic verification.

@@ -157,10 +157,10 @@ fn parse_gate_statement(
     let first_bracket = stmt.find('[').unwrap_or(usize::MAX);
     let (head, operands) = match open {
         Some(o) if o < first_bracket => {
-            let close = stmt.find(')').ok_or("missing ')' in gate parameters")?;
-            if close < o {
+            if stmt[..o].contains(')') {
                 return Err("mismatched parentheses".into());
             }
+            let close = matching_paren(stmt, o).ok_or("missing ')' in gate parameters")?;
             (&stmt[..=close], &stmt[close + 1..])
         }
         _ => {
@@ -221,6 +221,24 @@ fn resolve_qubit(operand: &str, regs: &HashMap<&str, (usize, usize)>) -> Result<
         return Err(format!("qubit index {idx} out of range for register '{reg}'"));
     }
     Ok(offset + idx)
+}
+
+/// The byte index of the `)` that closes the `(` at `open`.
+fn matching_paren(s: &str, open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, ch) in s[open..].char_indices() {
+        match ch {
+            '(' => depth += 1,
+            ')' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(open + i);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Splits on commas that are not inside parentheses.
@@ -329,12 +347,17 @@ fn lookup_gate(name: &str, params: &[f64]) -> Result<Gate, String> {
     Ok(g)
 }
 
+/// Parentheses and unary signs an expression may nest: far above any
+/// real program, far below what would overflow the stack, since the
+/// evaluator recurses once per level.
+const MAX_EXPR_DEPTH: usize = 128;
+
 /// Evaluates a QASM parameter expression: numbers, `pi`, `+ - * /`,
-/// parentheses and unary minus.
+/// parentheses and unary minus, nested at most [`MAX_EXPR_DEPTH`] deep.
 fn eval_expr(src: &str) -> Result<f64, String> {
     let tokens = tokenize(src)?;
     let mut pos = 0usize;
-    let v = parse_sum(&tokens, &mut pos)?;
+    let v = parse_sum(&tokens, &mut pos, 0)?;
     if pos != tokens.len() {
         return Err(format!("trailing tokens in expression '{src}'"));
     }
@@ -416,17 +439,17 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, String> {
     Ok(out)
 }
 
-fn parse_sum(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
-    let mut acc = parse_product(toks, pos)?;
+fn parse_sum(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let mut acc = parse_product(toks, pos, depth)?;
     while *pos < toks.len() {
         match toks[*pos] {
             Tok::Plus => {
                 *pos += 1;
-                acc += parse_product(toks, pos)?;
+                acc += parse_product(toks, pos, depth)?;
             }
             Tok::Minus => {
                 *pos += 1;
-                acc -= parse_product(toks, pos)?;
+                acc -= parse_product(toks, pos, depth)?;
             }
             _ => break,
         }
@@ -434,17 +457,17 @@ fn parse_sum(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
     Ok(acc)
 }
 
-fn parse_product(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
-    let mut acc = parse_atom(toks, pos)?;
+fn parse_product(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let mut acc = parse_atom(toks, pos, depth)?;
     while *pos < toks.len() {
         match toks[*pos] {
             Tok::Star => {
                 *pos += 1;
-                acc *= parse_atom(toks, pos)?;
+                acc *= parse_atom(toks, pos, depth)?;
             }
             Tok::Slash => {
                 *pos += 1;
-                let d = parse_atom(toks, pos)?;
+                let d = parse_atom(toks, pos, depth)?;
                 acc /= d;
             }
             _ => break,
@@ -453,7 +476,13 @@ fn parse_product(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
     Ok(acc)
 }
 
-fn parse_atom(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
+fn parse_atom(toks: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let nests = matches!(toks.get(*pos), Some(Tok::Minus | Tok::Plus | Tok::LParen));
+    if nests && depth == MAX_EXPR_DEPTH {
+        return Err(format!(
+            "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+        ));
+    }
     match toks.get(*pos) {
         Some(Tok::Num(v)) => {
             *pos += 1;
@@ -461,15 +490,15 @@ fn parse_atom(toks: &[Tok], pos: &mut usize) -> Result<f64, String> {
         }
         Some(Tok::Minus) => {
             *pos += 1;
-            Ok(-parse_atom(toks, pos)?)
+            Ok(-parse_atom(toks, pos, depth + 1)?)
         }
         Some(Tok::Plus) => {
             *pos += 1;
-            parse_atom(toks, pos)
+            parse_atom(toks, pos, depth + 1)
         }
         Some(Tok::LParen) => {
             *pos += 1;
-            let v = parse_sum(toks, pos)?;
+            let v = parse_sum(toks, pos, depth + 1)?;
             match toks.get(*pos) {
                 Some(Tok::RParen) => {
                     *pos += 1;
@@ -617,6 +646,39 @@ mod tests {
         let back = parse_qasm(&text).unwrap();
         assert_eq!(back.len(), c.len());
         assert!(circuits_equivalent(&c, &back, 1e-9));
+        assert_eq!(to_qasm(&back), text);
+    }
+
+    /// A parameter may nest parentheses and unary signs, spaced or not:
+    /// each form parses to the gate its flat spelling gives.
+    #[test]
+    fn nested_parameters_match_their_flat_form() {
+        for (nested, flat) in [
+            ("u3(pi/2, -(pi/4), 0)", "u3(pi/2,-pi/4,0)"),
+            ("u3( (pi) / 2 , -( pi / 4 ) , ( 0 ) )", "u3(pi/2,-pi/4,0)"),
+            ("u3 ((pi/2), (-(pi/4)), -(-0))", "u3(pi/2,-pi/4,0)"),
+            ("rz(((pi/2)))", "rz(pi/2)"),
+            ("rz(-(-(pi/3)))", "rz(pi/3)"),
+            ("rz(+(2*(0.25)))", "rz(0.5)"),
+            ("cu1(-(pi)) q[1],", "cu1(-pi) q[1],"),
+        ] {
+            let parse = |p: &str| parse_qasm(&format!("qreg q[2]; {p} q[0];")).unwrap();
+            let (a, b) = (parse(nested), parse(flat));
+            assert_eq!(a.ops(), b.ops(), "{nested} vs {flat}");
+        }
+    }
+
+    /// Expressions nest at most `MAX_EXPR_DEPTH` levels; a deeper one is
+    /// a parse error, not a stack overflow.
+    #[test]
+    fn deep_parameter_nesting_is_an_error() {
+        let parens = |n: usize| format!("qreg q[1]; rz({}0{}) q[0];", "(".repeat(n), ")".repeat(n));
+        assert!(parse_qasm(&parens(MAX_EXPR_DEPTH)).is_ok());
+        let signs = format!("qreg q[1]; rz({}1) q[0];", "-".repeat(50_000));
+        for src in [parens(MAX_EXPR_DEPTH + 1), parens(50_000), signs] {
+            let err = parse_qasm(&src).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{err}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   cache, no ZX and no synthesis.
 
 use crate::config::{Backend, EpocConfig};
-use crate::pipeline::{block_unitaries, schedule_partition, BackendImpl};
+use crate::pipeline::{block_unitaries, schedule_partition, PulseBackend};
 use crate::report::{CompilationReport, StageStats};
 use epoc_circuit::Circuit;
 use epoc_partition::{paqoc_partition, PaqocConfig};
@@ -54,7 +54,7 @@ pub fn gate_based_with(circuit: &Circuit, tables: &GatePulseTables) -> Compilati
 /// The PAQOC-like comparator.
 pub struct PaqocCompiler {
     partition: PaqocConfig,
-    backend: BackendImpl,
+    backend: PulseBackend,
 }
 
 impl PaqocCompiler {
@@ -71,7 +71,7 @@ impl PaqocCompiler {
         };
         Self {
             partition: PaqocConfig::default(),
-            backend: BackendImpl::new(&cfg),
+            backend: PulseBackend::new(&cfg),
         }
     }
 

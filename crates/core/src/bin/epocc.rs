@@ -78,7 +78,8 @@ fn usage() -> ! {
          --fault-seed N seed for probabilistic fault triggers\n\
          --library FILE warm-start the pulse library from FILE and save it back after the compile;\n\
          \x20              a FILE that fails to load is moved aside to FILE.corrupt first\n\
-         --library-budget BYTES cap the in-memory pulse library (LRU eviction; epoc flow only)\n\
+         --library-budget BYTES cap each in-memory pulse library (LRU eviction; epoc flow only;\n\
+         \x20              GRAPE's and the model's library each get BYTES)\n\
          --hw PROFILE   compile under a control-electronics model (epoc flow only);\n\
          \x20              profiles: {}\n\
          builtin benchmarks: {}",

@@ -32,6 +32,9 @@
 //!   (as one JSON string field, since the protocol is line-delimited);
 //! * `{"cmd":"shutdown"}` — checkpoint and exit.
 //!
+//! A line with a `cmd` key is a command, never a job: any other `cmd`,
+//! a non-string one included, answers `unknown command`.
+//!
 //! Responses, one compact JSON line each:
 //!
 //! * `{"id":1,"ok":true,"report":{...}}` on success;
@@ -134,7 +137,8 @@ fn usage() -> ! {
          [--queue-limit N] [--line-limit BYTES] [--journal FILE] \
          [--socket PATH] [--log FILE] [--faults SPEC] [--fault-seed N] [--hw PROFILE]\n\
          --library FILE     load the pulse library from FILE on start, save on checkpoint/shutdown\n\
-         --library-budget BYTES cap the in-memory library (LRU eviction)\n\
+         --library-budget BYTES cap each in-memory pulse library (LRU eviction; GRAPE's and\n\
+         \x20                  the model's library each get BYTES)\n\
          --grape N          GRAPE width cap (default {DEFAULT_GRAPE_LIMIT}; 0 = modeled backend)\n\
          --workers N        worker-pool size for each compile\n\
          --no-regroup       disable regrouping (per-gate pulses)\n\
@@ -271,20 +275,41 @@ fn next_line(reader: &mut impl BufRead, limit: usize) -> std::io::Result<ReadLin
     Ok(ReadLine::Line(String::from_utf8_lossy(&buf).into_owned()))
 }
 
-/// A request line, parsed once by the reader thread.
-struct Request {
-    /// The parsed request, or why the line does not parse.
-    req: Result<Json, String>,
-    /// `false` for a service command. Commands bypass admission control
-    /// (`stats` must answer precisely when the queue is full) and do not
-    /// count toward the queue depth.
-    job: bool,
+/// A request line, parsed and classified once by the reader thread; the
+/// serving loop acts on the class and never re-reads `cmd`.
+enum Request {
+    /// A service command: any object with a `cmd` key, whatever its
+    /// value. Commands bypass admission control (`stats` must answer
+    /// precisely when the queue is full) and do not count toward the
+    /// queue depth.
+    Command(Json),
+    /// A compile job: everything else that parses.
+    Job(Json),
+    /// A line that does not parse, and why. It is admitted like a job.
+    Unparseable(String),
 }
 
 impl Request {
+    fn classify(line: &str) -> Self {
+        match Json::parse(line) {
+            Ok(req) if req.get("cmd").is_some() => Request::Command(req),
+            Ok(req) => Request::Job(req),
+            Err(e) => Request::Unparseable(e.to_string()),
+        }
+    }
+
+    /// `false` for a command: the request skips admission control and
+    /// the queue depth.
+    fn queued(&self) -> bool {
+        !matches!(self, Request::Command(_))
+    }
+
     /// The caller's `id` field, echoed on a rejection.
     fn id(&self) -> Option<Json> {
-        self.req.as_ref().ok().and_then(|r| r.get("id").cloned())
+        match self {
+            Request::Command(req) | Request::Job(req) => req.get("id").cloned(),
+            Request::Unparseable(_) => None,
+        }
     }
 }
 
@@ -548,45 +573,60 @@ impl Service {
             .push("error", error)
     }
 
-    /// Handles one parsed request, returning `(response, shutdown)`.
-    fn handle(&mut self, req: Result<Json, String>) -> (Json, bool) {
-        let req = match req {
-            Ok(r) => r,
-            Err(e) => {
-                return (
+    /// Handles one request, returning `(response, shutdown)`.
+    fn handle(&mut self, request: Request) -> (Json, bool) {
+        match request {
+            Request::Command(req) => self.command(&req),
+            Request::Job(req) => (self.job(&req), false),
+            Request::Unparseable(e) => (
+                Json::obj()
+                    .push("ok", false)
+                    .push("error", format!("unparseable request: {e}")),
+                false,
+            ),
+        }
+    }
+
+    /// Answers a service command, returning `(response, shutdown)`. A
+    /// `cmd` that is not a string names no command.
+    fn command(&mut self, req: &Json) -> (Json, bool) {
+        match req.get("cmd").and_then(Json::as_str) {
+            Some("checkpoint") => (self.checkpoint(), false),
+            Some("stats") => (self.stats(), false),
+            Some("metrics") => (
+                Json::obj()
+                    .push("ok", true)
+                    .push("metrics", telemetry::prometheus_text()),
+                false,
+            ),
+            Some("shutdown") => {
+                let resp = if self.library.is_some() {
+                    self.checkpoint()
+                } else {
+                    Json::obj().push("ok", true)
+                };
+                (resp, true)
+            }
+            other => {
+                let name = match other {
+                    Some(name) => format!("'{name}'"),
+                    None => req
+                        .get("cmd")
+                        .map(Json::to_string_compact)
+                        .unwrap_or_default(),
+                };
+                (
                     Json::obj()
                         .push("ok", false)
-                        .push("error", format!("unparseable request: {e}")),
+                        .push("error", format!("unknown command {name}")),
                     false,
                 )
             }
-        };
-        if let Some(cmd) = req.get("cmd").and_then(Json::as_str) {
-            return match cmd {
-                "checkpoint" => (self.checkpoint(), false),
-                "stats" => (self.stats(), false),
-                "metrics" => (
-                    Json::obj()
-                        .push("ok", true)
-                        .push("metrics", telemetry::prometheus_text()),
-                    false,
-                ),
-                "shutdown" => {
-                    let resp = if self.library.is_some() {
-                        self.checkpoint()
-                    } else {
-                        Json::obj().push("ok", true)
-                    };
-                    (resp, true)
-                }
-                other => (
-                    Json::obj()
-                        .push("ok", false)
-                        .push("error", format!("unknown command '{other}'")),
-                    false,
-                ),
-            };
         }
+    }
+
+    /// Compiles one job and builds its response line.
+    fn job(&mut self, req: &Json) -> Json {
         let mut resp = Json::obj();
         if let Some(id) = req.get("id") {
             resp = resp.push("id", id.clone());
@@ -619,7 +659,7 @@ impl Service {
             if epoc_rt::faults::fail_point("epocd.panic") {
                 panic!("injected fault: epocd.panic");
             }
-            self.compile(&req)
+            self.compile(req)
         }))
         .unwrap_or_else(|payload| {
             let msg = payload
@@ -659,11 +699,8 @@ impl Service {
                 if report.stages.cache_misses > 0 {
                     self.jobs_since_checkpoint += 1;
                 }
-                (
-                    resp.push("ok", report.verified || report.verify_skipped)
-                        .push("report", report.to_json_value()),
-                    false,
-                )
+                resp.push("ok", report.verified || report.verify_skipped)
+                    .push("report", report.to_json_value())
             }
             Err(e) => {
                 telemetry::counter_add("epocd.jobs_failed", 1);
@@ -672,7 +709,7 @@ impl Service {
                     "job.failed",
                     Json::obj().push("error", e.as_str()),
                 );
-                (resp.push("ok", false).push("error", e), false)
+                resp.push("ok", false).push("error", e)
             }
         }
     }
@@ -740,10 +777,8 @@ fn serve(
                 },
                 Ok(ReadLine::Line(line)) if line.trim().is_empty() => continue,
                 Ok(ReadLine::Line(line)) => {
-                    let req = Json::parse(&line).map_err(|e| e.to_string());
-                    let job = !matches!(&req, Ok(r) if r.get("cmd").is_some());
-                    let request = Request { req, job };
-                    if request.job
+                    let request = Request::classify(&line);
+                    if request.queued()
                         && queue_limit > 0
                         && reader_depth.load(Ordering::Acquire) >= queue_limit
                     {
@@ -753,7 +788,7 @@ fn serve(
                             error: format!("service queue is at its limit of {queue_limit} jobs"),
                         }
                     } else {
-                        if request.job {
+                        if request.queued() {
                             reader_depth.fetch_add(1, Ordering::AcqRel);
                         }
                         Incoming::Request(request)
@@ -787,8 +822,9 @@ fn serve(
                     service.reject(request.id(), "shutting_down", "service is shutting down".into())
                 }
                 Incoming::Request(request) => {
-                    let (resp, stop) = service.handle(request.req);
-                    if request.job {
+                    let queued = request.queued();
+                    let (resp, stop) = service.handle(request);
+                    if queued {
                         depth.fetch_sub(1, Ordering::AcqRel);
                     }
                     if stop {

@@ -22,8 +22,8 @@ use epoc_linalg::Matrix;
 use epoc_partition::{greedy_partition, regroup, Partition, PartitionConfig};
 use epoc_pulse::{FrameUpdate, PulsePayload, PulseSchedule, ScheduledPulse};
 use epoc_qoc::{
-    GrapeSynthesizer, HybridSynthesizer, ModeledSynthesizer, PulseError, PulseRequest,
-    PulseSynthesizer, RecoveredPulse,
+    GrapeSynthesizer, ModeledSynthesizer, PulseError, PulseRequest, PulseSynthesizer,
+    RecoveredPulse,
 };
 use epoc_rt::cancel::CancelToken;
 use epoc_synth::{lower_to_vug_form, synthesize_with_cancel, SynthError};
@@ -39,14 +39,19 @@ const MEMO_CAP: usize = 64;
 /// First sightings the front-half memo remembers.
 const SIGHTINGS_CAP: usize = 1024;
 
-pub(crate) enum BackendImpl {
-    Hybrid(Box<HybridSynthesizer>),
-    Modeled(Box<ModeledSynthesizer>),
+/// A compiler's pulse backends: GRAPE (when the configuration asks for
+/// it) and the calibrated duration model, each behind its own pulse
+/// library. [`schedule_partition`] decides which one serves a block.
+/// Both are boxed: inline they would double the size of a compiler, and
+/// building and moving one would cost about half as much again.
+pub(crate) struct PulseBackend {
+    grape: Option<Box<GrapeSynthesizer>>,
+    model: Box<ModeledSynthesizer>,
 }
 
-impl BackendImpl {
+impl PulseBackend {
     pub(crate) fn new(config: &EpocConfig) -> Self {
-        match config.backend {
+        let grape = match config.backend {
             Backend::Hybrid { grape_limit } => {
                 let mut search = epoc_qoc::DurationSearchConfig::default();
                 // Constrained compilation: GRAPE optimizes *under* the
@@ -58,67 +63,44 @@ impl BackendImpl {
                     slot_escalations: config.recovery.grape_slot_escalations,
                     strict: config.recovery.strict,
                 };
-                BackendImpl::Hybrid(Box::new(HybridSynthesizer::with_search_store(
+                Some(Box::new(GrapeSynthesizer::with_store_config(
                     config.key_policy,
                     search,
                     grape_limit,
-                    config.duration_model,
                     &config.store,
                 )))
             }
-            Backend::Modeled => {
-                BackendImpl::Modeled(Box::new(ModeledSynthesizer::with_store_config(
-                    config.duration_model,
-                    config.key_policy,
-                    &config.store,
-                )))
-            }
+            Backend::Modeled => None,
+        };
+        Self {
+            grape,
+            model: Box::new(ModeledSynthesizer::with_store_config(
+                config.duration_model,
+                config.key_policy,
+                &config.store,
+            )),
         }
     }
 
-    /// The backend's pulse libraries as named persistence sections
-    /// (hybrid backends have two caches, modeled backends one).
+    /// The pulse libraries as named persistence sections: "grape" then
+    /// "model" with GRAPE, "model" alone without.
     pub(crate) fn library_sections(&self) -> Vec<(&'static str, &epoc_qoc::PulseLibrary)> {
-        match self {
-            BackendImpl::Hybrid(h) => {
-                vec![("grape", h.grape().library()), ("model", h.modeled().library())]
-            }
-            BackendImpl::Modeled(m) => vec![("model", m.library())],
-        }
+        let grape = self.grape.iter().map(|g| ("grape", g.library()));
+        grape.chain([("model", self.model.library())]).collect()
     }
 
-    /// The GRAPE sub-backend, when this backend has one.
-    fn grape_backend(&self) -> Option<&GrapeSynthesizer> {
-        match self {
-            BackendImpl::Hybrid(h) => Some(h.grape()),
-            BackendImpl::Modeled(_) => None,
-        }
-    }
-
-    pub(crate) fn pulse(
-        &self,
-        req: &PulseRequest<'_>,
-    ) -> Result<epoc_qoc::PulseEntry, PulseError> {
-        match self {
-            BackendImpl::Hybrid(h) => h.pulse(req),
-            BackendImpl::Modeled(m) => m.pulse(req),
-        }
-    }
-
+    /// `(hits, misses)` summed over the pulse libraries.
     pub(crate) fn cache_counts(&self) -> (usize, usize) {
-        match self {
-            BackendImpl::Hybrid(h) => (h.cache_hits(), h.cache_misses()),
-            BackendImpl::Modeled(m) => (m.library().hits(), m.library().misses()),
-        }
+        self.library_sections()
+            .iter()
+            .fold((0, 0), |(h, m), (_, lib)| (h + lib.hits(), m + lib.misses()))
     }
 
-    /// `(iterations, probes)` spent by the GRAPE sub-backend so far
-    /// (`(0, 0)` for the modeled backend).
+    /// `(iterations, probes)` spent by GRAPE so far (`(0, 0)` without it).
     pub(crate) fn grape_stats(&self) -> (usize, usize) {
-        match self.grape_backend() {
-            Some(g) => (g.total_iterations(), g.total_probes()),
-            None => (0, 0),
-        }
+        self.grape
+            .as_ref()
+            .map_or((0, 0), |g| (g.total_iterations(), g.total_probes()))
     }
 }
 
@@ -151,7 +133,7 @@ pub(crate) fn block_unitaries(partition: &Partition, workers: usize) -> Vec<Opti
 pub(crate) fn schedule_partition(
     partition: &Partition,
     unitaries: &[Option<Matrix>],
-    backend: &BackendImpl,
+    backend: &PulseBackend,
     workers: usize,
     hw: Option<&epoc_hw::HardwareProfile>,
     recoveries: &mut Vec<RecoveryRecord>,
@@ -167,11 +149,11 @@ pub(crate) fn schedule_partition(
         .max_amplitude();
     let mut hw_ws = epoc_hw::ConditionWorkspace::new();
 
-    // A block goes to GRAPE when the hybrid backend exists, its width is
-    // within the GRAPE cap, and its dense unitary was materialized —
-    // mirroring `HybridSynthesizer::pulse` routing.
+    // The routing rule: a block goes to GRAPE when the compiler has it,
+    // the block's width is within the GRAPE cap, and its dense unitary
+    // was materialized; every other block goes to the duration model.
     let grape_route = |i: usize| -> Option<(&GrapeSynthesizer, &Matrix)> {
-        let grape = backend.grape_backend()?;
+        let grape = backend.grape.as_ref()?;
         let u = unitaries[i].as_ref()?;
         (blocks[i].n_qubits() <= grape.max_qubits()).then_some((grape, u))
     };
@@ -258,6 +240,7 @@ pub(crate) fn schedule_partition(
                 }
             },
             None => backend
+                .model
                 .pulse(&PulseRequest {
                     n_qubits: block.n_qubits(),
                     unitary: unitaries[i].as_ref(),
@@ -438,7 +421,7 @@ fn checkpoint(cancel: &CancelToken) -> Result<(), EpocError> {
 /// the paper's pulse library grows over a workload.
 pub struct EpocCompiler {
     config: EpocConfig,
-    backend: BackendImpl,
+    backend: PulseBackend,
     /// Synthesis memo: identical block unitaries (up to global phase)
     /// reuse the previously synthesized local circuit. The node count and
     /// recovery rungs of the first computation ride along; cache hits
@@ -458,7 +441,7 @@ type SynthOutcome = (Circuit, bool, usize, Vec<&'static str>);
 impl EpocCompiler {
     /// Creates a compiler from a configuration.
     pub fn new(config: EpocConfig) -> Self {
-        let backend = BackendImpl::new(&config);
+        let backend = PulseBackend::new(&config);
         Self {
             config,
             backend,
@@ -1116,7 +1099,7 @@ mod tests {
                 .front_half(&circuit, &CancelToken::default(), 1)
                 .unwrap();
             let threshold = epoc_qoc::DurationSearchConfig::default().fidelity_threshold;
-            let library = compiler.backend.grape_backend().unwrap().library();
+            let library = compiler.backend.grape.as_ref().unwrap().library();
             let mut targets = HashMap::new();
             for u in front.unitaries.iter().flatten() {
                 targets.entry(library.cache_key(u)).or_insert(u);

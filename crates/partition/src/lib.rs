@@ -31,7 +31,7 @@ mod regroup;
 
 pub use block::{Block, Partition};
 pub use greedy::{greedy_partition, PartitionConfig};
-pub use paqoc::{mine_patterns, paqoc_partition, PaqocConfig, PatternKey};
+pub use paqoc::{paqoc_partition, PaqocConfig};
 pub use regroup::{regroup, regroup_to_blocks, RegroupConfig, RegroupStats};
 
 /// Records block-count and per-block shape telemetry for a finished

@@ -4,14 +4,13 @@
 //! HPCA 2023): gate-level grouping that is **bound by the circuit's gate
 //! structure** — blocks are runs of program-order-consecutive gates on a
 //! small fixed qubit set (≤ 2 by default, as in AccQOC's uniform two-qubit
-//! subcircuits), with frequent-pattern mining to model its custom-basis
-//! pulse cache. No ZX optimization, no synthesis, no global-phase-aware
-//! matching — exactly the coarseness EPOC's fine-grained pipeline improves
-//! on.
+//! subcircuits). Its pulse reuse is the comparator's phase-sensitive pulse
+//! cache, where repeated patterns share a key. No ZX optimization, no
+//! synthesis, no global-phase-aware matching — exactly the coarseness
+//! EPOC's fine-grained pipeline improves on.
 
 use crate::block::{Block, Partition};
-use epoc_circuit::{Circuit, Gate};
-use std::collections::HashMap;
+use epoc_circuit::Circuit;
 
 /// Configuration of the PAQOC-like partitioner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,45 +129,6 @@ pub fn paqoc_partition(circuit: &Circuit, config: PaqocConfig) -> Partition {
     Partition::new(n, blocks)
 }
 
-/// A structural fingerprint of a block's local circuit: gate names, local
-/// wiring and quantized parameters. Used to model PAQOC's pattern-mined
-/// custom basis (identical patterns hit the same pulse-cache entry).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PatternKey(Vec<(String, Vec<usize>, Vec<i64>)>);
-
-impl PatternKey {
-    /// Builds the pattern key of a local circuit.
-    pub fn of(circuit: &Circuit) -> Self {
-        let entries = circuit
-            .ops()
-            .iter()
-            .map(|op| {
-                let params: Vec<i64> = match &op.gate {
-                    Gate::Unitary { .. } => vec![],
-                    g => g
-                        .params()
-                        .iter()
-                        .map(|p| (p / 1e-9).round() as i64)
-                        .collect(),
-                };
-                (op.gate.name().to_string(), op.qubits.clone(), params)
-            })
-            .collect();
-        Self(entries)
-    }
-}
-
-/// Mines pattern frequencies across a partition: how many blocks share
-/// each structural pattern. High-frequency patterns are the ones PAQOC
-/// promotes to its custom basis.
-pub fn mine_patterns(partition: &Partition) -> HashMap<PatternKey, usize> {
-    let mut counts = HashMap::new();
-    for b in partition.blocks() {
-        *counts.entry(PatternKey::of(b.circuit())).or_insert(0) += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,28 +167,6 @@ mod tests {
             greedy.blocks().iter().any(|b| b.n_qubits() == 3),
             "greedy never used its wider budget"
         );
-    }
-
-    #[test]
-    fn pattern_mining_counts_repeats() {
-        // GHZ chains produce repeated CX patterns.
-        let c = generators::ghz(8);
-        let p = paqoc_partition(&c, PaqocConfig { max_qubits: 2, max_gates: 1 });
-        let patterns = mine_patterns(&p);
-        // 7 CX blocks share one pattern; 1 H block has another.
-        assert_eq!(patterns.len(), 2);
-        let max = patterns.values().max().copied().unwrap_or(0);
-        assert_eq!(max, 7);
-    }
-
-    #[test]
-    fn pattern_key_distinguishes_params() {
-        let mut a = Circuit::new(1);
-        a.push(epoc_circuit::Gate::RZ(0.3), &[0]);
-        let mut b = Circuit::new(1);
-        b.push(epoc_circuit::Gate::RZ(0.4), &[0]);
-        assert_ne!(PatternKey::of(&a), PatternKey::of(&b));
-        assert_eq!(PatternKey::of(&a), PatternKey::of(&a.clone()));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Gate-based pulse generation (the traditional workflow of Figure 1).
 //!
-//! Every basis gate maps to a calibrated pulse with fixed duration,
-//! fidelity, and envelope; RZ is a virtual frame update. This is the
+//! Every basis gate maps to a calibrated pulse with fixed duration and
+//! fidelity; RZ is a virtual frame update. This is the
 //! "gate-based" comparator of Table 1.
 
-use crate::envelope::Envelope;
 use crate::schedule::{schedule_circuit, PulseCost, PulseSchedule};
 use epoc_circuit::{Circuit, Gate, Operation};
 use epoc_qoc::GateDurationTable;
@@ -73,27 +72,6 @@ pub fn gate_based_schedule(circuit: &Circuit, tables: &GatePulseTables) -> Pulse
     schedule_circuit(circuit, |op| tables.cost(op))
 }
 
-/// The calibrated envelope a basis gate would use (for waveform export
-/// and plotting; latency/fidelity come from the tables).
-pub fn calibrated_envelope(gate: &Gate, tables: &GatePulseTables) -> Option<Envelope> {
-    let duration = tables.durations.gate(gate);
-    if duration <= 0.0 {
-        return None; // virtual gate
-    }
-    match gate.arity() {
-        1 => Some(Envelope::Drag {
-            amplitude: std::f64::consts::PI / duration,
-            duration,
-            sigma: duration / 4.0,
-            beta: 0.2,
-        }),
-        _ => Some(Envelope::Square {
-            amplitude: std::f64::consts::PI / (2.0 * duration),
-            duration,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,16 +103,6 @@ mod tests {
         let s = gate_based_schedule(&c, &t);
         let expect = t.fidelities.single * t.fidelities.two;
         assert!((s.esp() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn envelope_for_single_qubit_is_drag() {
-        let t = GatePulseTables::default();
-        match calibrated_envelope(&Gate::X, &t) {
-            Some(Envelope::Drag { duration, .. }) => assert!((duration - 35.5).abs() < 1e-9),
-            other => panic!("unexpected envelope {other:?}"),
-        }
-        assert!(calibrated_envelope(&Gate::RZ(0.4), &t).is_none());
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! # epoc-pulse — pulse schedules, envelopes, latency and ESP fidelity
+//! # epoc-pulse — pulse schedules, latency and ESP fidelity
 //!
-//! The scheduling layer of the EPOC reproduction: pulse envelope shapes
-//! ([`Envelope`]), ASAP placement of pulses on qubit lines
-//! ([`schedule_circuit`], [`PulseSchedule`]) with the latency and Eq.-3
-//! ESP-fidelity metrics the paper reports, and the calibrated gate-based
-//! pulse generator ([`gate_based_schedule`]) used as the traditional-flow
-//! comparator in Table 1.
+//! The scheduling layer of the EPOC reproduction: ASAP placement of
+//! pulses on qubit lines ([`schedule_circuit`], [`PulseSchedule`]) with
+//! the latency and Eq.-3 ESP-fidelity metrics the paper reports, and the
+//! calibrated gate-based pulse generator ([`gate_based_schedule`]) used
+//! as the traditional-flow comparator in Table 1. A scheduled pulse
+//! carries its waveform as the GRAPE controls
+//! ([`PulsePayload::Waveform`]).
 //!
 //! ## Example
 //!
@@ -21,15 +22,11 @@
 #![warn(missing_docs)]
 
 mod coherence;
-mod envelope;
 mod gate_pulses;
 mod schedule;
 
 pub use coherence::CoherenceModel;
-pub use envelope::Envelope;
-pub use gate_pulses::{
-    calibrated_envelope, gate_based_schedule, GateFidelityTable, GatePulseTables,
-};
+pub use gate_pulses::{gate_based_schedule, GateFidelityTable, GatePulseTables};
 pub use schedule::{
     schedule_circuit, FrameUpdate, PulseCost, PulsePayload, PulseSchedule, ScheduledPulse,
 };

@@ -205,21 +205,6 @@ impl PulseSchedule {
         self.pulses.iter().map(|p| p.fidelity).product()
     }
 
-    /// Fraction of qubit-line time occupied by pulses (the "utilization
-    /// rate of the qubit lines" the paper optimizes).
-    pub fn utilization(&self) -> f64 {
-        let total = self.latency() * self.n_qubits as f64;
-        if total <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .pulses
-            .iter()
-            .map(|p| p.duration * p.qubits.len() as f64)
-            .sum();
-        busy / total
-    }
-
     /// The schedule as a JSON value (used by the compilation report).
     pub fn to_json_value(&self) -> Json {
         Json::obj()
@@ -315,7 +300,6 @@ mod tests {
         let s = PulseSchedule::new(2);
         assert_eq!(s.latency(), 0.0);
         assert_eq!(s.esp(), 1.0);
-        assert_eq!(s.utilization(), 0.0);
         assert!(s.is_valid());
     }
 
@@ -326,7 +310,6 @@ mod tests {
         let s = schedule_circuit(&c, unit_cost);
         assert_eq!(s.latency(), 10.0);
         assert!(s.is_valid());
-        assert!((s.utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -383,14 +366,6 @@ mod tests {
             payload: PulsePayload::Opaque,
         });
         assert!(!s.is_valid());
-    }
-
-    #[test]
-    fn utilization_counts_multi_qubit_pulses() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::CX, &[0, 1]);
-        let s = schedule_circuit(&c, unit_cost);
-        assert!((s.utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]

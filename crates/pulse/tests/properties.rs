@@ -1,11 +1,11 @@
-//! Property-based tests for pulse schedules and envelopes.
+//! Property-based tests for pulse schedules.
 //!
 //! Ported from `proptest!` macros to `epoc_rt::check`, preserving the
 //! 48-case counts.
 
 use epoc_circuit::generators;
 use epoc_pulse::{
-    gate_based_schedule, schedule_circuit, CoherenceModel, Envelope, GatePulseTables, PulseCost,
+    gate_based_schedule, schedule_circuit, CoherenceModel, GatePulseTables, PulseCost,
 };
 use epoc_rt::check::property;
 
@@ -20,7 +20,6 @@ fn asap_schedules_are_always_valid() {
         assert!(s.is_valid(), "overlapping pulses (n={n} gates={gates} seed={seed})");
         assert!(s.latency() >= 0.0);
         assert!((0.0..=1.0).contains(&s.esp()));
-        assert!((0.0..=1.0 + 1e-9).contains(&s.utilization()));
     });
 }
 
@@ -64,31 +63,6 @@ fn coherence_decay_monotone() {
             long.schedule_decay(&s) >= short.schedule_decay(&s),
             "t1a={t1a} factor={factor}"
         );
-    });
-}
-
-#[test]
-fn gaussian_envelope_bounded_by_peak() {
-    property("gaussian_envelope_bounded_by_peak").cases(48).run(|g| {
-        let amp = g.f64_in(0.01, 1.0);
-        let dur = g.f64_in(10.0, 100.0);
-        let t = g.f64_in(0.0, 100.0);
-        let e = Envelope::Gaussian { amplitude: amp, duration: dur, sigma: dur / 4.0 };
-        assert!(e.sample(t).abs() <= e.peak() + 1e-12, "amp={amp} dur={dur} t={t}");
-    });
-}
-
-#[test]
-fn pwc_round_trips_samples() {
-    property("pwc_round_trips_samples").cases(48).run(|g| {
-        let samples = g.vec(1, 20, |g| g.f64_in(-0.5, 0.5));
-        let e = Envelope::PiecewiseConstant { samples: samples.clone(), dt: 2.0 };
-        for (i, &v) in samples.iter().enumerate() {
-            let t = (i as f64 + 0.5) * 2.0;
-            assert!((e.sample(t) - v).abs() < 1e-12);
-        }
-        let total: f64 = samples.iter().sum::<f64>() * 2.0;
-        assert!((e.area() - total).abs() < 1e-9);
     });
 }
 

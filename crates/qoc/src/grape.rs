@@ -275,30 +275,8 @@ pub fn grape(
     n_slots: usize,
     config: &GrapeConfig,
 ) -> Result<GrapeResult, GrapeError> {
-    grape_with_cancel(device, target, n_slots, config, &CancelScope::none())
-}
-
-/// [`grape`] with a cooperative-cancellation scope: each Adam iteration
-/// charges one unit against the scope's GRAPE budget and polls the hard
-/// conditions (cancel flag, wall-clock deadline).
-///
-/// Budget exhaustion is *soft*: the loop stops with whatever fidelity it
-/// has and the caller's recovery ladder degrades the block. Because the
-/// budget is charged in iterations (work units), budgeted outcomes are
-/// bit-identical at any worker count.
-///
-/// # Errors
-///
-/// All of [`grape`]'s errors, plus [`GrapeError::Canceled`] when the
-/// scope's token is cancelled or past its deadline.
-pub fn grape_with_cancel(
-    device: &DeviceModel,
-    target: &Matrix,
-    n_slots: usize,
-    config: &GrapeConfig,
-    cancel: &CancelScope,
-) -> Result<GrapeResult, GrapeError> {
-    let mut session = GrapeSession::new(device, target, config, cancel);
+    let cancel = CancelScope::none();
+    let mut session = GrapeSession::new(device, target, config, &cancel);
     let run = session.start(n_slots)?;
     session.finish(run)
 }
@@ -353,7 +331,7 @@ impl GrapeRun {
 ///
 /// A run reaches the same result however its work is split: deciding it
 /// provisionally and then finishing it gives, bit for bit, what
-/// [`grape_with_cancel`] gives (which finishes a fresh run), because every
+/// [`grape`] gives (which finishes a fresh run), because every
 /// restart owns its state and restarts are combined in order.
 pub(crate) struct GrapeSession<'a> {
     device: &'a DeviceModel,
@@ -375,7 +353,12 @@ pub(crate) struct GrapeSession<'a> {
 }
 
 impl<'a> GrapeSession<'a> {
-    /// A session with no run started yet.
+    /// A session with no run started yet. Each Adam step charges one
+    /// unit against `cancel`'s GRAPE budget and polls its hard conditions
+    /// (cancel flag, wall-clock deadline). Budget exhaustion is soft: the
+    /// run stops with whatever fidelity it has for the caller's recovery
+    /// ladder, and since the budget counts steps, budgeted outcomes are
+    /// bit-identical at any worker count.
     pub(crate) fn new(
         device: &'a DeviceModel,
         target: &'a Matrix,
@@ -444,7 +427,8 @@ impl<'a> GrapeSession<'a> {
     ///
     /// # Errors
     ///
-    /// A numerical failure or a hard cancel, as for [`grape_with_cancel`].
+    /// A numerical failure, as for [`grape`], or [`GrapeError::Canceled`]
+    /// when the session's scope is cancelled or past its deadline.
     pub(crate) fn decide(
         &mut self,
         run: &mut GrapeRun,
@@ -486,7 +470,8 @@ impl<'a> GrapeSession<'a> {
     ///
     /// # Errors
     ///
-    /// A numerical failure or a hard cancel, as for [`grape_with_cancel`].
+    /// A numerical failure, as for [`grape`], or [`GrapeError::Canceled`]
+    /// when the session's scope is cancelled or past its deadline.
     pub(crate) fn finish(&mut self, mut run: GrapeRun) -> Result<GrapeResult, GrapeError> {
         let _span = epoc_rt::telemetry::span("qoc", "grape");
         let steps = self.steps;

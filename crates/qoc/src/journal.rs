@@ -541,6 +541,23 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A checksum-valid record whose payload nests too deep to parse is
+    /// corrupt like any other unparseable record: the load fails closed
+    /// and applies nothing, rather than overflowing the stack.
+    #[test]
+    fn deeply_nested_record_fails_closed_applying_nothing() {
+        let lib = PulseLibrary::new(KeyPolicy::PhaseAware);
+        let path = temp_path("deep.jsonl");
+        let good = record_line("grape", &lib.cache_key(&Gate::H.unitary_matrix()), &entry(26.0));
+        let payload = format!("{}{}", "[".repeat(300_000), "]".repeat(300_000));
+        let deep = format!("{RECORD_PREFIX}{}\",\"rec\":{payload}}}", payload_checksum(&payload));
+        std::fs::write(&path, format!("{good}\n{deep}\n")).unwrap();
+        let err = load_library_file(&path, &[("grape", &lib)]).unwrap_err();
+        assert!(matches!(err, LibraryError::Corrupt { .. }), "{err:?}");
+        assert!(lib.is_empty(), "fail closed must apply nothing");
+        std::fs::remove_file(&path).ok();
+    }
+
     /// A library in the earlier snapshot format — one unterminated
     /// `{"version":2,…}` line — is a foreign file, not a torn record: it
     /// fails closed as `Corrupt` and is left byte for byte as it was.

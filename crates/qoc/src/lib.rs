@@ -46,8 +46,7 @@ pub use duration::{
     GrapeRecoveryPolicy, PulseSolution, SearchDurationError,
 };
 pub use grape::{
-    fault_fingerprint, grape, grape_with_cancel, propagate, GradientMode, GrapeConfig, GrapeError,
-    GrapeResult,
+    fault_fingerprint, grape, propagate, GradientMode, GrapeConfig, GrapeError, GrapeResult,
 };
 pub use journal::{load_library_file, save_library_file, JournalWriter};
 pub use library::{CacheKey, InsertObserver, KeyPolicy, PulseEntry, PulseLibrary};

@@ -46,8 +46,10 @@ pub fn entry_bytes(key: &CacheKey, entry: &PulseEntry) -> u64 {
 /// Configuration of the library's store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Byte budget. `Some` caps the resident size with strict LRU
-    /// eviction over the whole library; `None` grows unbounded.
+    /// Byte budget of one library. `Some` caps that library's resident
+    /// size with strict LRU eviction over all its entries; `None` grows
+    /// unbounded. A compiler gives the same budget to each of its
+    /// libraries, so a hybrid compiler's two may hold twice it together.
     pub budget_bytes: Option<u64>,
 }
 

@@ -6,8 +6,10 @@
 //! * [`GrapeSynthesizer`] — real GRAPE + duration binary search against
 //!   the simulated device, with a [`PulseLibrary`] cache in front;
 //! * [`ModeledSynthesizer`] — the calibrated [`DurationModel`];
-//! * [`HybridSynthesizer`] — GRAPE up to a width limit, model beyond
-//!   (the default for the benchmark harness).
+//! * [`HybridSynthesizer`] — GRAPE up to a width limit, model beyond,
+//!   behind one [`PulseSynthesizer::pulse`] call. The compilers hold the
+//!   GRAPE and model backends themselves and route each block in their
+//!   pulse stage, with the same rule.
 
 use crate::device::{DeviceError, DeviceModel};
 use crate::duration::{minimize_duration_with_cancel, DurationError, DurationSearchConfig};
@@ -117,9 +119,6 @@ pub trait PulseSynthesizer: Send + Sync {
     /// width, missing unitary, numerical failure, or a strict-mode
     /// fidelity miss).
     fn pulse(&self, request: &PulseRequest<'_>) -> Result<PulseEntry, PulseError>;
-
-    /// Human-readable backend name.
-    fn name(&self) -> &str;
 }
 
 /// Real-GRAPE backend with pulse-library caching.
@@ -324,10 +323,6 @@ impl PulseSynthesizer for GrapeSynthesizer {
         self.library.insert(unitary, recovered.entry.clone());
         Ok(recovered.entry)
     }
-
-    fn name(&self) -> &str {
-        "grape"
-    }
 }
 
 /// Calibrated-model backend (no GRAPE at request time).
@@ -394,10 +389,6 @@ impl PulseSynthesizer for ModeledSynthesizer {
         }
         Ok(entry)
     }
-
-    fn name(&self) -> &str {
-        "modeled"
-    }
 }
 
 /// GRAPE for narrow blocks, calibrated model beyond.
@@ -449,16 +440,6 @@ impl HybridSynthesizer {
         &self.model
     }
 
-    /// Combined cache hit count.
-    pub fn cache_hits(&self) -> usize {
-        self.grape.library().hits() + self.model.library().hits()
-    }
-
-    /// Combined cache miss count.
-    pub fn cache_misses(&self) -> usize {
-        self.grape.library().misses() + self.model.library().misses()
-    }
-
     /// GRAPE iterations spent by the GRAPE sub-backend so far.
     pub fn total_iterations(&self) -> usize {
         self.grape.total_iterations()
@@ -483,10 +464,6 @@ impl PulseSynthesizer for HybridSynthesizer {
         } else {
             self.model.pulse(request)
         }
-    }
-
-    fn name(&self) -> &str {
-        "hybrid"
     }
 }
 
@@ -659,6 +636,5 @@ mod tests {
         let e2 = s.pulse(&wide).unwrap();
         assert!(e2.duration > 0.0);
         assert_eq!(s.grape().library().misses(), 1);
-        assert_eq!(s.name(), "hybrid");
     }
 }

@@ -207,6 +207,21 @@ fn library_file_round_trip_is_lossless_under_both_policies() {
         });
 }
 
+/// A waveform reads back each slot's sample anywhere inside that slot,
+/// and lasts its slot count times the slot width.
+#[test]
+fn pwc_round_trips_samples() {
+    property("pwc_round_trips_samples").cases(48).run(|g| {
+        let samples = g.vec(1, 20, |g| g.f64_in(-0.5, 0.5));
+        let w = PulseWaveform::new(2.0, vec![samples.clone()]);
+        for (i, &v) in samples.iter().enumerate() {
+            let t = (i as f64 + g.f64_in(0.0, 0.999)) * 2.0;
+            assert_eq!(w.amplitude(0, t), v, "slot {i} at t={t}");
+        }
+        assert_eq!(w.duration(), samples.len() as f64 * 2.0);
+    });
+}
+
 #[test]
 fn grape_is_deterministic() {
     let device = DeviceModel::transmon_line(1).unwrap();

@@ -168,6 +168,12 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Arrays and objects [`Json::parse`] accepts inside each other: far
+/// above any document the workspace writes (reports, library records and
+/// traces nest fewer than 10 levels), far below what would overflow a
+/// thread's stack, since the parser recurses once per level.
+const MAX_DEPTH: usize = 128;
+
 /// Where and why [`Json::parse`] rejected a document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonParseError {
@@ -188,12 +194,17 @@ impl std::error::Error for JsonParseError {}
 impl Json {
     /// Parses an RFC 8259 JSON document.
     ///
-    /// Strict: no trailing garbage, no comments, no trailing commas.
+    /// Strict: no trailing garbage, no comments, no trailing commas, and
+    /// no more than 128 arrays and objects nested inside each other.
     /// Numbers without a fraction or exponent become [`Json::UInt`] /
     /// [`Json::Int`] when they fit, [`Json::Num`] otherwise, so documents
     /// written by this module round-trip through `parse` unchanged.
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -241,6 +252,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -286,12 +299,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.error(format!("unexpected byte 0x{other:02x}"))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses a container one level deeper, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self)?;
+        self.depth -= 1;
+        Ok(value)
     }
 
     fn array(&mut self) -> Result<Json, JsonParseError> {
@@ -643,6 +670,21 @@ mod tests {
             "\"unterminated", "\"\\q\"", "\"\\ud800\"", "[1] junk", "nan",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed input {bad:?}");
+        }
+    }
+
+    /// Nesting is bounded, so a deep document is a parse error rather
+    /// than a stack overflow, which would abort the process.
+    #[test]
+    fn parse_rejects_documents_nested_too_deep() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        for n in [MAX_DEPTH + 1, 100_000] {
+            let err = Json::parse(&nest(n)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH, "depth {n}");
+            assert!(err.message.contains("nesting"), "{err}");
         }
     }
 

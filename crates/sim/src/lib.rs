@@ -69,14 +69,6 @@ impl NoiseModel {
             t2: 60_000.0,
         }
     }
-
-    /// `true` when every term is disabled.
-    pub fn is_noiseless(&self) -> bool {
-        self.detuning_sigma <= 0.0
-            && self.amplitude_sigma <= 0.0
-            && self.t1 <= 0.0
-            && self.t2 <= 0.0
-    }
 }
 
 impl Default for NoiseModel {

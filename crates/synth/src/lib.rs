@@ -22,8 +22,7 @@ mod search;
 mod template;
 
 pub use search::{
-    lower_to_vug_form, synthesize, synthesize_or_fallback, synthesize_with_cancel, SynthConfig,
-    SynthError, SynthResult,
+    lower_to_vug_form, synthesize, synthesize_with_cancel, SynthConfig, SynthError, SynthResult,
 };
 pub use template::{Axis, InstantiateOptions, Segment, Template};
 

@@ -454,33 +454,6 @@ fn ensure_nonempty_1q(circuit: Circuit, target: &Matrix) -> Circuit {
     c
 }
 
-/// Synthesizes a circuit block's unitary, falling back to the block's own
-/// gate list (lowered to VUG/CNOT form) when search does not converge —
-/// synthesis is then guaranteed never to *hurt*.
-///
-/// # Errors
-///
-/// Returns [`SynthError`] on malformed targets or when the analytic
-/// fallback lowering itself fails.
-pub fn synthesize_or_fallback(
-    target: &Matrix,
-    original: &Circuit,
-    config: &SynthConfig,
-) -> Result<SynthResult, SynthError> {
-    let r = synthesize(target, config)?;
-    if r.converged {
-        return Ok(r);
-    }
-    let fallback = lower_to_vug_form(original)?;
-    Ok(SynthResult {
-        distance: 0.0,
-        cnots: fallback.count_gates(|g| matches!(g, Gate::CX)),
-        nodes_evaluated: r.nodes_evaluated,
-        converged: true,
-        circuit: fallback,
-    })
-}
-
 /// Rewrites a circuit into VUG/CNOT form without numerical search: gates
 /// are lowered analytically to `{H, RZ, CX, CZ}` (reusing the verified
 /// lowerings of `epoc-zx`), `CZ` becomes `H·CX·H` on the target, and runs
@@ -650,6 +623,9 @@ mod tests {
         );
     }
 
+    /// Out of budget, QSearch reports the miss rather than hiding it: the
+    /// pipeline's ladder then falls back to the block's own gates, whose
+    /// structural lowering is exact.
     #[test]
     fn fallback_when_budget_tiny() {
         let mut c = Circuit::new(2);
@@ -660,9 +636,10 @@ mod tests {
             max_cnots: 0,
             ..SynthConfig::default()
         };
-        let r = synthesize_or_fallback(&target, &c, &cfg).unwrap();
-        assert!(r.converged);
-        assert!(circuits_equivalent(&c, &r.circuit, 1e-6));
+        let r = synthesize(&target, &cfg).unwrap();
+        assert!(!r.converged, "distance {}", r.distance);
+        let fallback = lower_to_vug_form(&c).unwrap();
+        assert!(circuits_equivalent(&c, &fallback, 1e-6));
     }
 
     #[test]

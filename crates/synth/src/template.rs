@@ -566,10 +566,6 @@ impl Default for InstantiateOptions {
     }
 }
 
-/// Keep `Complex64` referenced for doc purposes.
-#[doc(hidden)]
-pub type _C = Complex64;
-
 #[cfg(test)]
 mod tests {
     use super::*;

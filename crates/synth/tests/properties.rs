@@ -8,8 +8,7 @@ use epoc_linalg::{phase_invariant_distance, random_unitary};
 use epoc_rt::check::property;
 use epoc_rt::rng::StdRng;
 use epoc_synth::{
-    lower_to_vug_form, synthesize, synthesize_or_fallback, vug_gate, InstantiateOptions,
-    SynthConfig, Template,
+    lower_to_vug_form, synthesize, vug_gate, InstantiateOptions, SynthConfig, Template,
 };
 
 #[test]
@@ -47,19 +46,16 @@ fn lower_to_vug_form_preserves_random_circuits() {
         });
 }
 
+/// The pipeline's synthesis fallback, the block's own gates in VUG/CNOT
+/// form, is faithful on every 2-qubit circuit.
 #[test]
 fn fallback_is_always_sound() {
     property("fallback_is_always_sound").cases(16).run(|g| {
         let gates = g.usize_in(1, 10);
         let seed = g.u64_in(0, 1000);
-        // Even with a zero search budget, synthesize_or_fallback returns a
-        // faithful circuit.
         let c = generators::random_circuit(2, gates, seed);
-        let target = c.unitary();
-        let cfg = SynthConfig { max_nodes: 1, max_cnots: 0, seed, ..Default::default() };
-        let r = synthesize_or_fallback(&target, &c, &cfg).unwrap();
-        assert!(r.converged);
-        assert!(circuits_equivalent(&c, &r.circuit, 1e-5), "gates={gates} seed={seed}");
+        let fallback = lower_to_vug_form(&c).unwrap();
+        assert!(circuits_equivalent(&c, &fallback, 1e-5), "gates={gates} seed={seed}");
     });
 }
 

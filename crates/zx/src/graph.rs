@@ -38,11 +38,6 @@ impl VertexKind {
         matches!(self, VertexKind::Z(_))
     }
 
-    /// `true` for an X spider.
-    pub fn is_x(&self) -> bool {
-        matches!(self, VertexKind::X(_))
-    }
-
     /// `true` for a boundary vertex.
     pub fn is_boundary(&self) -> bool {
         matches!(self, VertexKind::Boundary)

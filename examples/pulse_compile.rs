@@ -6,9 +6,8 @@
 //! ```
 
 use epoc_circuit::{Circuit, Gate};
-use epoc_pulse::Envelope;
 use epoc_qoc::{
-    grape, minimize_duration, DeviceModel, DurationSearchConfig, GrapeConfig,
+    grape, minimize_duration, DeviceModel, DurationSearchConfig, GrapeConfig, PulseWaveform,
 };
 
 fn main() {
@@ -21,22 +20,20 @@ fn main() {
         "X gate: minimal pulse {} ns ({} slots, fidelity {:.6}, {} GRAPE probes)",
         sol.result.duration, sol.n_slots, sol.fidelity, sol.probes
     );
-    // Wrap the optimized X-channel samples in an envelope and sample it.
-    let env = Envelope::PiecewiseConstant {
-        samples: sol.result.controls[0].clone(),
-        dt: device.dt(),
-    };
+    // The X-drive channel's area, peak and shape, read off the controls.
+    let waveform = PulseWaveform::new(device.dt(), sol.result.controls);
+    let x_drive = &waveform.controls()[0];
     println!(
         "  X-drive area {:.3} rad (π = {:.3}); peak {:.4} rad/ns (bound {:.4})",
-        env.area(),
+        x_drive.iter().sum::<f64>() * waveform.dt(),
         std::f64::consts::PI,
-        env.peak(),
+        x_drive.iter().fold(0.0f64, |m, &u| m.max(u.abs())),
         device.max_amplitude()
     );
     print!("  waveform: ");
-    let d = env.duration();
+    let d = waveform.duration();
     for i in 0..32 {
-        let a = env.sample(d * i as f64 / 32.0);
+        let a = waveform.amplitude(0, d * i as f64 / 32.0);
         let bars = ((a / device.max_amplitude()).abs() * 8.0) as usize;
         print!("{}", ["·", "▁", "▂", "▃", "▄", "▅", "▆", "▇", "█"][bars.min(8)]);
     }

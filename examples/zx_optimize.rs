@@ -7,7 +7,7 @@
 
 use epoc_circuit::{circuits_equivalent, generators};
 use epoc_partition::{greedy_partition, PartitionConfig};
-use epoc_synth::{synthesize_or_fallback, SynthConfig};
+use epoc_synth::{synthesize, SynthConfig};
 use epoc_zx::zx_optimize;
 
 fn main() {
@@ -50,12 +50,8 @@ fn main() {
         );
     }
     if let Some(block) = partition.blocks().iter().find(|b| b.n_qubits() == 2) {
-        let synth = synthesize_or_fallback(
-            &block.unitary(),
-            block.circuit(),
-            &SynthConfig::default(),
-        )
-        .expect("block unitary is well-formed");
+        let synth = synthesize(&block.unitary(), &SynthConfig::default())
+            .expect("block unitary is well-formed");
         println!(
             "\nsynthesized 2-qubit block: {} gates -> {} VUG/CNOT ops \
              ({} CNOTs, distance {:.2e})",

@@ -283,6 +283,57 @@ fn queue_limit_sheds_typed_rejections() {
     );
 }
 
+/// A line with a `cmd` key is a command whatever the key's value: a
+/// non-string `cmd` answers `unknown command` and never compiles, so it
+/// cannot slip a job past `--queue-limit`.
+#[test]
+fn non_string_cmd_is_an_unknown_command_not_a_job() {
+    let (mut child, mut stdin, stdout) = spawn_epocd(&["--grape", "0", "--queue-limit", "1"]);
+    for i in 1..=4 {
+        writeln!(stdin, r#"{{"id":{i},"cmd":5,"bench":"qaoa_n6"}}"#).unwrap();
+    }
+    writeln!(stdin, r#"{{"cmd":"stats"}}"#).unwrap();
+    drop(stdin);
+    let lines: Vec<String> = stdout.lines().map(Result::unwrap).collect();
+    assert!(child.wait().unwrap().success());
+    assert_eq!(lines.len(), 5, "expected 5 response lines: {lines:?}");
+    for line in &lines[..4] {
+        assert!(
+            line.contains(r#""ok":false"#) && line.contains("unknown command 5"),
+            "non-string cmd was not answered as an unknown command: {line}"
+        );
+    }
+    assert!(
+        lines[4].contains(r#""jobs":0"#) && lines[4].contains(r#""rejected":0"#),
+        "a non-string cmd compiled or was shed as a job: {}",
+        lines[4]
+    );
+}
+
+/// A line nested deeper than the JSON parser accepts is answered as an
+/// unparseable request, not a stack overflow, and the daemon serves the
+/// next job.
+#[test]
+fn deeply_nested_line_is_an_error_not_fatal() {
+    let (mut child, mut stdin, stdout) = spawn_epocd(&["--grape", "0"]);
+    writeln!(stdin, "{}", "[".repeat(20_000)).unwrap();
+    writeln!(stdin, r#"{{"id":2,"bench":"ghz_n4"}}"#).unwrap();
+    drop(stdin);
+    let lines: Vec<String> = stdout.lines().map(Result::unwrap).collect();
+    assert!(child.wait().unwrap().success(), "daemon died on the deep line");
+    assert_eq!(lines.len(), 2, "expected 2 response lines: {lines:?}");
+    assert!(
+        lines[0].contains(r#""ok":false"#) && lines[0].contains("unparseable request"),
+        "deep line not answered as unparseable: {}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains(r#""id":2"#) && lines[1].contains(r#""ok":true"#),
+        "daemon did not serve the job after the deep line: {}",
+        lines[1]
+    );
+}
+
 /// An oversized request line is shed with a typed rejection and the
 /// daemon keeps serving the next (well-sized) job.
 #[test]
